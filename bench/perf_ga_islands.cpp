@@ -19,9 +19,10 @@
 //     tightening demand grid search (sched::edf_vd_demand_search) over
 //     the candidate assignment: the search dominates each fitness call,
 //     which is the regime memoization targets.
-//   --objective=analytic — the bare Eq. 13 closed form (~2 us/call):
-//     cache bookkeeping costs more than the saved calls, so this mode
-//     documents the break-even honestly rather than hiding it.
+//   --objective=analytic — the bare Eq. 13 closed form (~3 us/call):
+//     hashing and comparing 100-gene keys costs a little more than the
+//     saved calls, so this mode documents the break-even honestly rather
+//     than hiding it.
 //
 // --json writes the rows plus the headline speedup/hit-rate as a CI
 // artifact (see .github/workflows/ci.yml).

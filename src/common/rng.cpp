@@ -115,6 +115,14 @@ Rng Rng::split() {
   return child;
 }
 
+std::vector<Rng> split_streams(std::uint64_t seed, std::size_t count) {
+  Rng parent(seed);
+  std::vector<Rng> streams;
+  streams.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) streams.push_back(parent.split());
+  return streams;
+}
+
 void Rng::jump() {
   static constexpr std::array<std::uint64_t, 4> kJump = {
       0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace mcs::common {
 
@@ -78,5 +79,14 @@ class Rng {
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
 };
+
+/// The first `count` children of Rng(seed)'s split() chain, in order.
+/// split() advances the parent by exactly one draw whatever the child is
+/// later used for, so giving stream t to work item t reproduces the
+/// serial loop that interleaves each split() with that item's draws —
+/// which is what lets a Monte Carlo run its items under parallel_map and
+/// stay bit-identical at every --jobs value.
+[[nodiscard]] std::vector<Rng> split_streams(std::uint64_t seed,
+                                             std::size_t count);
 
 }  // namespace mcs::common

@@ -108,8 +108,8 @@ class ThreadPool {
 namespace detail {
 
 /// Returns the process-wide shared pool, (re)created so it has at least
-/// `jobs` workers. Callers must drain their batch before returning (both
-/// run_chunked and pipeline_map do).
+/// `jobs` workers. Callers must drain their batch before returning (as
+/// run_chunked does).
 [[nodiscard]] ThreadPool& shared_pool(std::size_t jobs);
 
 /// Runs body(0..count-1) across the shared pool with `jobs` concurrent

@@ -58,7 +58,7 @@ enum class Approach {
     AdmissionBackend backend = AdmissionBackend::kUtilization);
 
 /// Fraction of `num_tasksets` random task sets at bound `u_bound`
-/// accepted under `policy` + `backend`. Same pipelined Monte Carlo as
+/// accepted under `policy` + `backend`. Same Monte Carlo as
 /// acceptance_ratio: per-set split() streams keep the ratio bit-identical
 /// at every --jobs value.
 [[nodiscard]] double policy_acceptance_ratio(

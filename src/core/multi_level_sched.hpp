@@ -96,11 +96,12 @@ struct MlOptimizationResult {
   std::vector<double> increments;  ///< the winning genome
 };
 
-/// Optimizes the multiplier increments with the GA (paper hyper-params).
-/// `increment_cap` bounds each per-rung increment. The default `plan`
-/// (1 island, no migration) keeps the historical run_ga path; islands > 1
-/// or a migration interval switch to the island-model search with the
-/// best_of_state winner rule.
+/// Optimizes the multiplier increments with the island-model GA (paper
+/// hyper-params) and returns the ga::best_of_state winner. `increment_cap`
+/// bounds each per-rung increment. The default `plan` (1 island, no
+/// migration) returns the genes the single-population engine run_ga
+/// would, as long as config.elitism is the default 1 (see
+/// optimize_multipliers_ga). Throws std::invalid_argument on elitism 0.
 [[nodiscard]] MlOptimizationResult optimize_ml_ga(
     const MlSystem& system, const ga::GaConfig& config = {},
     double increment_cap = 16.0, const ga::IslandPlan& plan = {});

@@ -50,26 +50,19 @@ std::unique_ptr<ga::Problem> make_multiplier_problem(const mc::TaskSet& tasks,
 
 OptimizationResult optimize_multipliers_ga(const mc::TaskSet& tasks,
                                            const OptimizerConfig& config) {
+  if (config.ga.elitism == 0)
+    throw std::invalid_argument(
+        "optimize_multipliers_ga: elitism must be >= 1");
   const MultiplierProblem problem(tasks, config.n_cap);
+  ga::IslandGaConfig island_config;
+  island_config.ga = config.ga;
+  island_config.plan = config.islands;
+  island_config.seed_genomes = config.warm_start;
+  const ga::IslandGaResult ga_result =
+      ga::run_island_ga(problem, island_config);
   OptimizationResult result;
-  const bool island_path = config.islands.islands > 1 ||
-                           config.islands.migration_interval > 0 ||
-                           !config.warm_start.empty();
-  if (island_path) {
-    ga::IslandGaConfig island_config;
-    island_config.ga = config.ga;
-    island_config.plan = config.islands;
-    island_config.seed_genomes = config.warm_start;
-    const ga::IslandGaResult ga_result =
-        ga::run_island_ga(problem, island_config);
-    result.n = ga::best_of_state(ga_result.final_state).genes;
-    result.search = ga_result.stats;
-  } else {
-    const ga::GaResult ga_result = ga::run_ga(problem, config.ga);
-    result.n = ga_result.best.genes;
-    result.search.evaluations = ga_result.evaluations;
-    result.search.cache_misses = ga_result.evaluations;
-  }
+  result.n = ga::best_of_state(ga_result.final_state).genes;
+  result.search = ga_result.stats;
   result.breakdown = evaluate_multipliers(tasks, result.n);
   return result;
 }

@@ -17,8 +17,7 @@ namespace mcs::core {
 struct OptimizationResult {
   std::vector<double> n;          ///< chosen multipliers (per HC task)
   ObjectiveBreakdown breakdown;   ///< objective at the chosen point
-  /// Search cost: fitness calls and memo hit/miss counts. The monolithic
-  /// run_ga path has no memo, so hits = 0 and misses = evaluations.
+  /// Search cost: fitness calls and memo hit/miss counts.
   ga::IslandStats search;
 };
 
@@ -29,11 +28,8 @@ struct OptimizationResult {
 struct OptimizerConfig {
   ga::GaConfig ga;
   double n_cap = 64.0;
-  /// Island-model knobs. The default (1 island, no migration, no warm
-  /// start) takes the historical run_ga path bit for bit; islands > 1, a
-  /// migration interval, or warm-start genomes switch to run_island_ga,
-  /// whose winner is picked by ga::best_of_state (the same rule the
-  /// sharded CLI --finalize path applies).
+  /// Island-model knobs. The default (1 island, no migration) is the
+  /// paper's single-population GA.
   ga::IslandPlan islands;
   /// Warm-start genomes injected into every island's initial population
   /// (see ga::IslandGaConfig::seed_genomes), e.g. the winners of a
@@ -50,7 +46,17 @@ struct OptimizerConfig {
     const mc::TaskSet& tasks, double n_cap = 64.0);
 
 /// Optimizes per-task multipliers with the GA (Section IV-C "Problem
-/// Solving"). Requires at least one HC task with stats.
+/// Solving"): ga::run_island_ga, whose winner is picked by
+/// ga::best_of_state (the same rule the sharded CLI --finalize path
+/// applies). With the default islands plan and no warm start, the
+/// populations are those of the single-population engine run_ga on
+/// make_multiplier_problem(tasks, n_cap) bit for bit, so the winner has
+/// the fitness of run_ga's hall-of-fame individual. That rests on
+/// config.ga.elitism >= 1, which keeps the best individual in the final
+/// population, so elitism 0 is rejected. With the default elitism of 1
+/// the elite is the first fittest individual of its generation, so even
+/// on fitness ties the genes are run_ga's. Requires at least one HC task
+/// with stats; throws std::invalid_argument otherwise.
 [[nodiscard]] OptimizationResult optimize_multipliers_ga(
     const mc::TaskSet& tasks, const OptimizerConfig& config = {});
 

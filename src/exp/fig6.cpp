@@ -9,7 +9,7 @@ std::vector<Fig6Point> run_fig6(const std::vector<double>& u_values,
                                 const common::Executor& exec) {
   // The outer utilization axis fans out too: each point's seed depends
   // only on its u value, so the points are independent work items. The
-  // nested acceptance_ratio pipelines then run inline on the worker,
+  // nested acceptance_ratio maps then run inline on the worker,
   // which keeps small per-point taskset counts from serializing the
   // whole figure behind one u value. Under a sharded executor only the
   // shard's slice of points is evaluated.

@@ -48,13 +48,8 @@ std::vector<MulticorePoint> run_multicore(
       MulticorePoint point;
       point.cores = m;
       point.u_bound_per_core = u;
-      common::Rng rng(seed + 1000 * m +
-                      static_cast<std::uint64_t>(u * 100.0));
-      // Pre-split per-replication streams, partition-test in parallel.
-      std::vector<common::Rng> set_rngs;
-      set_rngs.reserve(tasksets);
-      for (std::size_t t = 0; t < tasksets; ++t)
-        set_rngs.push_back(rng.split());
+      const std::vector<common::Rng> set_rngs = common::split_streams(
+          seed + 1000 * m + static_cast<std::uint64_t>(u * 100.0), tasksets);
       struct Verdict {
         bool lambda_ok = false;
         bool chebyshev_ok = false;

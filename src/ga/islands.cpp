@@ -1,7 +1,9 @@
 #include "ga/islands.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -74,61 +76,49 @@ std::vector<std::size_t> worst_k(const std::vector<Individual>& population,
 /// sequentially on the caller thread in island-major member-minor order,
 /// so the hit and miss counts are identical at every --jobs value; only
 /// the de-duplicated miss batch fans out to the pool, and results land by
-/// slot index. Pending duplicates (the same new genome appearing several
+/// cache entry. Pending duplicates (the same new genome appearing several
 /// times in one batch, e.g. a migrated elite cloned by selection) count
-/// as hits: they share the slot and pay for one evaluation.
+/// as hits: they share the entry and pay for one evaluation.
 void evaluate_islands(IslandState& state, std::size_t begin, std::size_t end,
                       const Problem& problem, GenomeFitCache& cache,
                       IslandStats& stats) {
-  struct Ref {
-    std::size_t island, member, slot;
-  };
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<Ref> refs;
-  std::vector<const Genome*> batch;
-  // Slots of the new genomes within `batch`, bucketed by genome hash, for
-  // spotting in-batch duplicates.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> slot_by_hash;
-  auto find_slot = [&](const Genome& g) {
-    const auto it = slot_by_hash.find(GenomeFitCache::BitsHash{}(g));
-    if (it != slot_by_hash.end())
-      for (const std::size_t slot : it->second)
-        if (GenomeFitCache::BitsEqual{}(*batch[slot], g)) return slot;
-    return kNoSlot;
-  };
+  const std::size_t first_new = cache.size();
+  std::vector<std::pair<Individual*, std::size_t>> pending;
+  std::vector<const Genome*> batch;  // genome of entry first_new + k
   for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < state[i].size(); ++j) {
-      Individual& ind = state[i][j];
+    for (Individual& ind : state[i]) {
       if (ind.evaluated) continue;
-      if (const double* hit = cache.find(ind.genes)) {
-        ind.fitness = *hit;
-        ind.evaluated = true;
-        ++stats.cache_hits;
-        continue;
-      }
-      std::size_t slot = find_slot(ind.genes);
-      if (slot != kNoSlot) {
-        ++stats.cache_hits;
-      } else {
-        slot = batch.size();
-        slot_by_hash[GenomeFitCache::BitsHash{}(ind.genes)].push_back(slot);
+      const auto [entry, added] = cache.lookup_or_add(ind.genes);
+      if (added) {
         batch.push_back(&ind.genes);
         ++stats.cache_misses;
+      } else {
+        ++stats.cache_hits;
+        if (!std::isnan(cache.fitness(entry))) {
+          ind.fitness = cache.fitness(entry);
+          ind.evaluated = true;
+          continue;
+        }
       }
-      refs.push_back({i, j, slot});
+      pending.emplace_back(&ind, entry);
     }
   }
   if (batch.empty()) return;
-  const std::vector<double> fitness =
-      common::parallel_map(batch.size(), [&](std::size_t k) {
-        return sanitize_fitness(problem.evaluate(*batch[k]));
-      });
+  std::vector<double> fitness;
+  try {
+    fitness = common::parallel_map(batch.size(), [&](std::size_t k) {
+      return sanitize_fitness(problem.evaluate(*batch[k]));
+    });
+  } catch (...) {
+    cache.truncate(first_new);
+    throw;
+  }
   stats.evaluations += batch.size();
   for (std::size_t k = 0; k < batch.size(); ++k)
-    cache.insert(*batch[k], fitness[k]);
-  for (const Ref& ref : refs) {
-    state[ref.island][ref.member].fitness = fitness[ref.slot];
-    state[ref.island][ref.member].evaluated = true;
+    cache.fitness(first_new + k) = fitness[k];
+  for (const auto& [ind, entry] : pending) {
+    ind->fitness = cache.fitness(entry);
+    ind->evaluated = true;
   }
 }
 
@@ -145,34 +135,87 @@ void update_hall_of_fame(const IslandState& state, std::size_t begin,
 
 }  // namespace
 
-std::size_t GenomeFitCache::BitsHash::operator()(const Genome& g)
-    const noexcept {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const double x : g) {
+namespace {
+
+/// Hash of a genome's bit patterns: four independent multiply lanes (one
+/// multiply per gene) and a splitmix64 finish for the power-of-two table.
+std::uint64_t genome_hash(const double* genes, std::size_t dimension) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t lane[4] = {1, 2, 3, 4};
+  for (std::size_t i = 0; i < dimension; ++i) {
     std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+    std::memcpy(&bits, &genes[i], sizeof(bits));
+    lane[i % 4] = (lane[i % 4] ^ bits) * kMul;
   }
-  return static_cast<std::size_t>(h);
+  std::uint64_t h = dimension;
+  for (const std::uint64_t l : lane) h = (h ^ l ^ (l >> 32)) * kMul;
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  return h ^ (h >> 31);
 }
 
-bool GenomeFitCache::BitsEqual::operator()(const Genome& a,
-                                           const Genome& b) const noexcept {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}  // namespace
+
+const double* GenomeFitCache::key(std::size_t entry) const {
+  return blocks_[entry / keys_per_block_].data() +
+         (entry % keys_per_block_) * dimension_;
 }
 
-const double* GenomeFitCache::find(const Genome& genes) const {
-  const auto it = map_.find(genes);
-  return it == map_.end() ? nullptr : &it->second;
+std::pair<std::size_t, bool> GenomeFitCache::lookup_or_add(
+    const Genome& genes) {
+  // 32 KiB blocks stay below malloc's mmap threshold, so a run's blocks
+  // are recycled heap memory rather than fresh pages.
+  constexpr std::size_t kBlockDoubles = 4096;
+  if (fitness_.empty()) {
+    dimension_ = genes.size();
+    keys_per_block_ = std::max<std::size_t>(
+        1, kBlockDoubles / std::max<std::size_t>(dimension_, 1));
+  } else if (genes.size() != dimension_) {
+    throw std::invalid_argument("GenomeFitCache: key length changed");
+  }
+  if (2 * (fitness_.size() + 1) > buckets_.size())
+    rebuild(std::max<std::size_t>(64, 2 * buckets_.size()));
+  const std::size_t mask = buckets_.size() - 1;
+  const std::uint64_t hash = genome_hash(genes.data(), dimension_);
+  for (std::size_t b = hash & mask;; b = (b + 1) & mask) {
+    if (buckets_[b] == 0) {
+      buckets_[b] = fitness_.size() + 1;
+      if (fitness_.size() % keys_per_block_ == 0)
+        blocks_.emplace_back().reserve(keys_per_block_ * dimension_);
+      blocks_.back().insert(blocks_.back().end(), genes.begin(), genes.end());
+      fitness_.push_back(std::numeric_limits<double>::quiet_NaN());
+      hashes_.push_back(hash);
+      return {fitness_.size() - 1, true};
+    }
+    const std::size_t entry = buckets_[b] - 1;
+    if (dimension_ == 0 ||
+        std::memcmp(key(entry), genes.data(), dimension_ * sizeof(double)) ==
+            0)
+      return {entry, false};
+  }
 }
 
-void GenomeFitCache::insert(const Genome& genes, double fitness) {
-  map_.try_emplace(genes, fitness);
+void GenomeFitCache::truncate(std::size_t entries) {
+  if (entries >= fitness_.size()) return;
+  fitness_.resize(entries);
+  hashes_.resize(entries);
+  blocks_.resize((entries + keys_per_block_ - 1) / keys_per_block_);
+  if (!blocks_.empty())
+    blocks_.back().resize(
+        (entries - (blocks_.size() - 1) * keys_per_block_) * dimension_);
+  rebuild(buckets_.size());
+}
+
+void GenomeFitCache::rebuild(std::size_t bucket_count) {
+  buckets_.assign(bucket_count, 0);
+  const std::size_t mask = bucket_count - 1;
+  for (std::size_t e = 0; e < fitness_.size(); ++e) {
+    std::size_t b = hashes_[e] & mask;
+    while (buckets_[b] != 0) b = (b + 1) & mask;
+    buckets_[b] = e + 1;
+  }
 }
 
 std::uint64_t island_seed(const IslandGaConfig& config, std::size_t island) {

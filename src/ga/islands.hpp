@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,29 +53,39 @@ struct IslandGaConfig {
   std::vector<Genome> seed_genomes;
 };
 
-/// Genome -> fitness memo. Keys compare and hash by gene *bit patterns*
-/// (FNV-1a over the raw doubles, same idea as sched::SampleFitCache's
-/// fingerprint), so lookup can never confuse two distinct genomes and the
-/// hash/equality contract holds even for -0.0 vs 0.0.
+/// Genome -> fitness memo for one problem (every key has the length of
+/// the first). Keys compare by gene *bit patterns*, so lookup can never
+/// confuse two distinct genomes, and -0.0 and 0.0 are distinct keys. The
+/// keys sit back to back in fixed-size blocks behind an open-addressing
+/// table of entry indices, so an entry costs no allocation of its own and
+/// growth never copies keys. The table is never iterated, so its hash has
+/// no effect on any result.
 class GenomeFitCache {
  public:
-  struct BitsHash {
-    std::size_t operator()(const Genome& g) const noexcept;
-  };
-  struct BitsEqual {
-    bool operator()(const Genome& a, const Genome& b) const noexcept;
-  };
+  /// The entry index of `genes` and whether it was just added. A new
+  /// entry's fitness is NaN (pending) until the caller stores the
+  /// evaluated value, which sanitize_fitness keeps from ever being NaN.
+  /// Throws std::invalid_argument on a key of another length.
+  [[nodiscard]] std::pair<std::size_t, bool> lookup_or_add(
+      const Genome& genes);
 
-  /// Cached fitness of `genes`, or nullptr when absent.
-  [[nodiscard]] const double* find(const Genome& genes) const;
+  [[nodiscard]] double& fitness(std::size_t entry) { return fitness_[entry]; }
 
-  /// Records the fitness of `genes` (first write wins).
-  void insert(const Genome& genes, double fitness);
+  /// Drops every entry from index `entries` on (rolls back pending ones).
+  void truncate(std::size_t entries);
 
-  [[nodiscard]] std::size_t size() const { return map_.size(); }
+  [[nodiscard]] std::size_t size() const { return fitness_.size(); }
 
  private:
-  std::unordered_map<Genome, double, BitsHash, BitsEqual> map_;
+  [[nodiscard]] const double* key(std::size_t entry) const;
+  void rebuild(std::size_t bucket_count);
+
+  std::size_t dimension_ = 0;
+  std::size_t keys_per_block_ = 1;
+  std::vector<std::vector<double>> blocks_;  ///< keys_per_block_ keys each
+  std::vector<double> fitness_;              ///< per entry
+  std::vector<std::uint64_t> hashes_;        ///< per entry, for rebuild
+  std::vector<std::size_t> buckets_;         ///< entry + 1; 0 = empty
 };
 
 /// Cost counters of an island run. `evaluations` counts actual

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "apps/corner_kernel.hpp"
@@ -60,6 +61,13 @@ struct KernelCase {
   const char* label;
   KernelPtr kernel;
 };
+
+// Without a printer gtest dumps the raw bytes of the case, pointers
+// included, into the listed test name, so the CTest name would change with
+// every build's address layout.
+void PrintTo(const KernelCase& kernel_case, std::ostream* os) {
+  *os << kernel_case.label;
+}
 
 class KernelContract : public ::testing::TestWithParam<KernelCase> {};
 

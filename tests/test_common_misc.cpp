@@ -1,32 +1,10 @@
-// Tests for the smaller common/ pieces: logging and time units.
+// Tests for the smaller common/ pieces: time units.
 #include <gtest/gtest.h>
 
-#include "common/log.hpp"
 #include "common/units.hpp"
 
 namespace mcs::common {
 namespace {
-
-TEST(Log, ThresholdFilters) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold messages are dropped (no crash, no output assertion
-  // possible on stderr; exercise the path).
-  log(LogLevel::kDebug, "dropped");
-  log(LogLevel::kError, "emitted");
-  MCS_LOG_INFO() << "stream form, dropped at kError threshold";
-  set_log_level(saved);
-}
-
-TEST(Log, StreamMacroComposes) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kDebug);
-  MCS_LOG_DEBUG() << "value=" << 42 << ", pi=" << 3.14;
-  MCS_LOG_WARN() << "warn path";
-  MCS_LOG_ERROR() << "error path";
-  set_log_level(saved);
-}
 
 TEST(ClockModel, RoundTripConversions) {
   constexpr ClockModel clock{.cycles_per_ms = 2.0e5};

@@ -249,6 +249,28 @@ TEST(Determinism, GaVsUniformBitIdenticalAcrossJobs) {
   }
 }
 
+TEST(Determinism, SimValidationBitIdenticalAcrossJobs) {
+  core::OptimizerConfig opt;
+  opt.ga.population_size = 10;
+  opt.ga.generations = 6;
+  const auto results = serial_and_parallel([&] {
+    return exp::run_sim_validation({0.5, 0.7}, 4, 20000.0, 61, opt);
+  });
+  for (std::size_t r = 1; r < results.size(); ++r) {
+    ASSERT_EQ(results[0].size(), results[r].size());
+    for (std::size_t p = 0; p < results[0].size(); ++p) {
+      const exp::SimValidationPoint& a = results[0][p];
+      const exp::SimValidationPoint& b = results[r][p];
+      EXPECT_EQ(a.analytic_p_ms, b.analytic_p_ms);
+      EXPECT_EQ(a.sim_overrun_rate, b.sim_overrun_rate);
+      EXPECT_EQ(a.sim_drop_rate_dropall, b.sim_drop_rate_dropall);
+      EXPECT_EQ(a.sim_drop_rate_degrade, b.sim_drop_rate_degrade);
+      EXPECT_EQ(a.sim_hc_miss_dropall, b.sim_hc_miss_dropall);
+      EXPECT_EQ(a.sim_hc_miss_degrade, b.sim_hc_miss_degrade);
+    }
+  }
+}
+
 TEST(Determinism, AssignmentMethodsBitIdenticalAcrossJobs) {
   // Each kernel owns a counter-based policy stream (index_seed(seed, k))
   // and a value-derived measurement seed, so the parallelized kernel loop

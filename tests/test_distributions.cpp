@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include "common/stats_accumulator.hpp"
@@ -19,6 +20,13 @@ struct MomentCase {
   double tolerance_mean;
   double tolerance_sd;
 };
+
+// Without a printer gtest dumps the raw bytes of the case, pointers
+// included, into the listed test name, so the CTest name would change with
+// every build's address layout.
+void PrintTo(const MomentCase& moment_case, std::ostream* os) {
+  *os << moment_case.label;
+}
 
 class DistributionMoments : public ::testing::TestWithParam<MomentCase> {};
 

@@ -1,9 +1,9 @@
-// Golden regression hashes for the pipelined experiment drivers, plus
+// Golden regression hashes for the parallel experiment drivers, plus
 // library-level shard-slice equivalence.
 //
-// The five hashes below were recorded from the *pre-pipeline serial*
+// The five hashes below were recorded from the original *serial*
 // implementations of the drivers (FNV-1a over every result field, in
-// result order). The pipelined executors must keep reproducing them
+// result order). The parallel drivers must keep reproducing them
 // bit-for-bit at every --jobs value; any change to the RNG stream
 // assignment, the reduction order, or the experiment maths shows up here
 // as a hash mismatch.

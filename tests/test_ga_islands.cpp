@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 
@@ -332,6 +333,74 @@ TEST(GaIslands, BestOfStateScansIslandMajor) {
   EXPECT_EQ(best_of_state(state).genes, b.genes);
   state[1][0].evaluated = false;
   EXPECT_THROW((void)best_of_state(state), std::invalid_argument);
+}
+
+TEST(GenomeFitCache, LookupAddAndTruncate) {
+  // 3000 keys of length 3 span several key blocks and table rebuilds.
+  GenomeFitCache cache;
+  auto key = [](std::size_t i) {
+    return Genome{static_cast<double>(i), 0.5, -static_cast<double>(i)};
+  };
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto [entry, added] = cache.lookup_or_add(key(i));
+    ASSERT_TRUE(added);
+    ASSERT_EQ(entry, i);
+    EXPECT_TRUE(std::isnan(cache.fitness(entry)));  // pending
+    cache.fitness(entry) = static_cast<double>(i);
+  }
+  for (std::size_t i = 0; i < 3000; i += 7) {
+    const auto [entry, added] = cache.lookup_or_add(key(i));
+    EXPECT_FALSE(added);
+    EXPECT_EQ(cache.fitness(entry), static_cast<double>(i));
+  }
+  // Bit patterns, not values: -0.0 and 0.0 are distinct keys.
+  using Slot = std::pair<std::size_t, bool>;
+  EXPECT_EQ(cache.lookup_or_add({-0.0, 0.5, -0.0}), Slot(3000, true));
+  EXPECT_THROW((void)cache.lookup_or_add({1.0}), std::invalid_argument);
+
+  cache.truncate(1500);
+  EXPECT_EQ(cache.size(), 1500U);
+  EXPECT_EQ(cache.lookup_or_add(key(1499)), Slot(1499, false));
+  EXPECT_EQ(cache.lookup_or_add(key(2000)), Slot(1500, true));
+}
+
+TEST(GaIslands, FailedBatchLeavesNoPendingEntry) {
+  // A throwing fitness call must not leave pending entries behind that a
+  // later batch would read as cached fitness.
+  class Flaky final : public Problem {
+   public:
+    [[nodiscard]] std::size_t dimension() const override { return 2; }
+    [[nodiscard]] double lower_bound(std::size_t) const override {
+      return 0.0;
+    }
+    [[nodiscard]] double upper_bound(std::size_t) const override {
+      return 1.0;
+    }
+    [[nodiscard]] double evaluate(std::span<const double> g) const override {
+      if (fail) throw std::runtime_error("flaky");
+      return g[0] + g[1];
+    }
+    bool fail = true;
+  };
+  Flaky problem;
+  IslandGaConfig config = small_config();
+  config.plan.islands = 1;
+  config.plan.migration_interval = 0;
+  GenomeFitCache cache;
+  IslandStats stats;
+  IslandState state;
+  EXPECT_THROW(evolve_islands_epoch(problem, config, 0, state, 0, 1, cache,
+                                    stats, nullptr, nullptr),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0U);
+  problem.fail = false;
+  state.clear();
+  evolve_islands_epoch(problem, config, 0, state, 0, 1, cache, stats,
+                       nullptr, nullptr);
+  for (const Individual& ind : state[0]) {
+    ASSERT_TRUE(ind.evaluated);
+    EXPECT_EQ(ind.fitness, ind.genes[0] + ind.genes[1]);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -178,6 +179,59 @@ TEST(OptimizeMl, IslandPlanIsDeterministicAndAtLeastAsGood) {
   const MlEvaluation corner = evaluate_ml_assignment(
       system, decode_ml_assignment(system, zeros));
   EXPECT_GE(a.evaluation.objective, corner.objective - 1e-9);
+}
+
+TEST(OptimizeMl, ZeroElitismThrows) {
+  ga::GaConfig config;
+  config.elitism = 0;
+  EXPECT_THROW((void)optimize_ml_ga(three_level_system(), config),
+               std::invalid_argument);
+}
+
+TEST(OptimizeMl, DefaultPlanReturnsRunGaWinner) {
+  // Reference problem: the same genome-to-ladder decoding optimize_ml_ga
+  // searches, fed straight to run_ga. The default plan must return its
+  // hall-of-fame genome bit for bit, including on the infeasible system
+  // whose objective is 0 everywhere.
+  class LadderProblem final : public ga::Problem {
+   public:
+    LadderProblem(const MlSystem& system, double cap)
+        : system_(system), cap_(cap) {}
+    [[nodiscard]] std::size_t dimension() const override {
+      return system_.genome_length();
+    }
+    [[nodiscard]] double lower_bound(std::size_t) const override {
+      return 0.0;
+    }
+    [[nodiscard]] double upper_bound(std::size_t) const override {
+      return cap_;
+    }
+    [[nodiscard]] double evaluate(
+        std::span<const double> genes) const override {
+      return evaluate_ml_assignment(system_,
+                                    decode_ml_assignment(system_, genes))
+          .objective;
+    }
+
+   private:
+    const MlSystem& system_;
+    double cap_;
+  };
+  MlSystem overloaded = three_level_system();
+  overloaded.tasks[0].wcet_pes = 120.0;  // mode-3 utilization 1.2 > 1
+  const std::vector<MlSystem> systems = {three_level_system(),
+                                         three_level_system(0.5), overloaded};
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    for (const std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
+      ga::GaConfig config;
+      config.seed = seed;
+      const MlOptimizationResult got = optimize_ml_ga(systems[s], config);
+      const ga::GaResult want =
+          ga::run_ga(LadderProblem(systems[s], 16.0), config);
+      EXPECT_EQ(got.increments, want.best.genes)
+          << "system " << s << " seed " << seed;
+    }
+  }
 }
 
 TEST(OptimizeMl, Validation) {

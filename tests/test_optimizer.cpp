@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "core/chebyshev_wcet.hpp"
 #include "taskgen/generator.hpp"
@@ -91,10 +92,46 @@ TEST(OptimizeGa, DeterministicInSeed) {
   EXPECT_EQ(a.n, b.n);
 }
 
+TEST(OptimizeGa, DefaultConfigReturnsRunGaWinner) {
+  // The optimizer runs the island engine and picks ga::best_of_state; with
+  // the default plan and elitism that must be run_ga's hall-of-fame genome
+  // bit for bit. The overloaded set (U_HC^HI = 1.2) fails Eq. 8 at every
+  // genome, so its objective is a plateau at 0 where every individual
+  // ties and only the tie-break decides the winner.
+  std::vector<mc::TaskSet> sets;
+  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL})
+    for (const double u : {0.5, 0.8, 0.95}) sets.push_back(sample_set(u, seed));
+  sets.push_back(sample_set(1.2, 14));
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    for (const std::uint64_t ga_seed : {1ULL, 7ULL}) {
+      OptimizerConfig config;
+      config.ga.seed = ga_seed;
+      const OptimizationResult got =
+          optimize_multipliers_ga(sets[s], config);
+      const ga::GaResult want =
+          ga::run_ga(*make_multiplier_problem(sets[s], config.n_cap),
+                     config.ga);
+      EXPECT_EQ(got.n, want.best.genes) << "set " << s << " seed " << ga_seed;
+      EXPECT_EQ(got.breakdown.objective, want.best.fitness)
+          << "set " << s << " seed " << ga_seed;
+    }
+  }
+  OptimizerConfig config;
+  EXPECT_EQ(optimize_multipliers_ga(sets.back(), config).breakdown.objective,
+            0.0);
+}
+
 TEST(OptimizeGa, NoHcTasksThrows) {
   mc::TaskSet tasks;
   tasks.add(mc::McTask::low("l", 5.0, 100.0));
   EXPECT_THROW((void)optimize_multipliers_ga(tasks, {}),
+               std::invalid_argument);
+}
+
+TEST(OptimizeGa, ZeroElitismThrows) {
+  OptimizerConfig config;
+  config.ga.elitism = 0;
+  EXPECT_THROW((void)optimize_multipliers_ga(sample_set(0.5, 8), config),
                std::invalid_argument);
 }
 

@@ -456,8 +456,9 @@ TEST(PolicyFactory, BuildsEverySpecAndRejectsUnknown) {
     ASSERT_NE(policy, nullptr) << spec;
     EXPECT_FALSE(policy->name().empty()) << spec;
   }
-  const auto* vp = dynamic_cast<const ConcentrationBoundPolicy*>(
-      make_policy("vp_n_sigma", options).get());
+  const WcetOptPolicyPtr vp_policy = make_policy("vp_n_sigma", options);
+  const auto* vp =
+      dynamic_cast<const ConcentrationBoundPolicy*>(vp_policy.get());
   ASSERT_NE(vp, nullptr);
   EXPECT_EQ(vp->kind(), stats::BoundKind::kVysochanskijPetunin);
   EXPECT_DOUBLE_EQ(vp->target_p(), 0.2);

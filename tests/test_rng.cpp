@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 namespace mcs::common {
 namespace {
@@ -188,6 +189,29 @@ TEST(Rng, RepeatedSplitsDiffer) {
   for (int i = 0; i < 64; ++i)
     if (a() == b()) ++equal;
   EXPECT_LT(equal, 4);
+}
+
+TEST(Rng, SplitStreamsMatchInterleavedSplitChain) {
+  // split_streams pre-splits the chain that a serial loop would split one
+  // child at a time between uses; the t-th child must not depend on how
+  // many draws the earlier children made (normal() included, which caches
+  // a spare deviate).
+  auto use = [](Rng& child, std::size_t t) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < 3 * t + 1; ++k)
+      acc += child.normal(0.0, 1.0) + child.uniform01();
+    return acc;
+  };
+  std::vector<double> interleaved;
+  Rng parent(41);
+  for (std::size_t t = 0; t < 16; ++t) {
+    Rng child = parent.split();
+    interleaved.push_back(use(child, t));
+  }
+  std::vector<Rng> streams = split_streams(41, 16);
+  ASSERT_EQ(streams.size(), 16U);
+  for (std::size_t t = 0; t < streams.size(); ++t)
+    EXPECT_EQ(use(streams[t], t), interleaved[t]) << "t=" << t;
 }
 
 TEST(Splitmix64, KnownSequenceIsDeterministic) {

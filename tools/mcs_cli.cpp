@@ -561,9 +561,7 @@ int cmd_optimize(const std::string& path, int argc,
   config.islands = island_config.plan;
   const core::OptimizationResult best =
       core::optimize_multipliers_ga(tasks, config);
-  const bool island_path = islands > 1 || migration_interval > 0;
-  return emit_assigned_taskset(std::move(tasks), best.n,
-                               island_path ? &best.search : nullptr);
+  return emit_assigned_taskset(std::move(tasks), best.n, &best.search);
 }
 
 int cmd_simulate(const std::string& path, int argc,
