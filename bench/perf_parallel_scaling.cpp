@@ -1,10 +1,10 @@
 // Wall-clock scaling benchmark for the deterministic parallel-evaluation
 // layer (common/thread_pool.hpp), in three sections:
 //
-//  1. Table II Chebyshev-bound sweep at increasing --jobs counts (coarse
-//     per-kernel items; the measurement loops inside now fan out too).
+//  1. Table II Chebyshev-bound sweep at increasing --jobs counts (one flat
+//     loop over every (kernel, sample) pair of the five campaigns).
 //  2. measure_kernel's per-sample loop at increasing --jobs counts (the
-//     Fig. 1 path: counter-based per-sample streams, chunked dispatch).
+//     Fig. 1 path: one kernel through the same flat loop).
 //  3. A chunked million-item parallel_map at several grain sizes per
 //     --jobs count, isolating the queue-dispatch overhead that
 //     parallel_map_chunked exists to amortize.
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   const std::size_t saved_jobs = mcs::common::default_jobs();
   bool identical = true;
 
-  // Section 1: Table II sweep (coarse items: one campaign per kernel).
+  // Section 1: Table II sweep (one flat (kernel, sample) loop).
   mcs::common::Table table2_table(
       {"jobs", "seconds (best)", "speedup", "identical"});
   table2_table.set_title("Table II sweep: wall-clock vs --jobs (" +
@@ -202,8 +202,8 @@ int main(int argc, char** argv) {
   });
   std::fputs(table2_table.render().c_str(), stdout);
 
-  // Section 2: the measurement loop itself (fine items: one kernel run per
-  // sample, counter-based streams, auto grain).
+  // Section 2: the measurement loop for a single kernel (fine items: one
+  // kernel run per sample, counter-based streams, grain 1).
   const mcs::apps::KernelPtr kernel = mcs::apps::table2_kernels()[0];
   mcs::common::Table measure_table(
       {"jobs", "seconds (best)", "speedup", "identical"});

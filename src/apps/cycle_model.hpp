@@ -8,8 +8,15 @@
 // predicted branches). Because the kernels' operation counts are genuinely
 // data-dependent, the resulting cycle distributions have the multi-modal,
 // input-driven shape of real measured execution times (Fig. 1).
+//
+// Every annotation sits in a kernel's inner loop, so add() is inline and
+// only bumps a per-class count; total() prices the counts once. Cycles are
+// unsigned 64-bit, so sum_i count_i * cost_i equals the running sum of
+// n * cost over the individual add() calls exactly (both are taken modulo
+// 2^64): the per-class form changes no sample bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "common/units.hpp"
@@ -22,7 +29,8 @@ class CycleCounter {
  public:
   /// Prices operations with `model` (default: the typical/hit table).
   explicit CycleCounter(
-      const wcet::CostModel& model = wcet::CostModel::typical());
+      const wcet::CostModel& model = wcet::CostModel::typical())
+      : model_(model) {}
 
   void alu(std::size_t n = 1) { add(wcet::OpClass::kAlu, n); }
   void mul(std::size_t n = 1) { add(wcet::OpClass::kMul, n); }
@@ -34,21 +42,31 @@ class CycleCounter {
   void call(std::size_t n = 1) { add(wcet::OpClass::kCall, n); }
 
   /// Adds `n` dynamic instances of `op`.
-  void add(wcet::OpClass op, std::size_t n);
+  void add(wcet::OpClass op, std::size_t n) {
+    counts_[static_cast<std::size_t>(op)] += n;
+  }
 
-  /// Cycles consumed so far.
-  [[nodiscard]] common::Cycles total() const { return total_; }
+  /// Cycles consumed so far: each class's count priced by the model.
+  [[nodiscard]] common::Cycles total() const {
+    common::Cycles cycles = 0;
+    for (std::size_t c = 0; c < wcet::kOpClassCount; ++c)
+      cycles += static_cast<common::Cycles>(counts_[c]) * model_.cost[c];
+    return cycles;
+  }
 
   /// Dynamic instruction count so far.
-  [[nodiscard]] std::size_t instructions() const { return instructions_; }
+  [[nodiscard]] std::size_t instructions() const {
+    std::size_t n = 0;
+    for (const std::size_t count : counts_) n += count;
+    return n;
+  }
 
-  /// Resets both counters.
-  void reset();
+  /// Clears every class count.
+  void reset() { counts_.fill(0); }
 
  private:
   wcet::CostModel model_;
-  common::Cycles total_ = 0;
-  std::size_t instructions_ = 0;
+  std::array<std::size_t, wcet::kOpClassCount> counts_{};
 };
 
 }  // namespace mcs::apps

@@ -1,6 +1,5 @@
 #include "apps/image.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,13 +9,6 @@ Image::Image(std::size_t width, std::size_t height)
     : width_(width), height_(height), data_(width * height, 0.0F) {
   if (width == 0 || height == 0)
     throw std::invalid_argument("Image: dimensions must be >= 1");
-}
-
-float Image::at_clamped(long x, long y) const {
-  const long mx = std::clamp<long>(x, 0, static_cast<long>(width_) - 1);
-  const long my = std::clamp<long>(y, 0, static_cast<long>(height_) - 1);
-  return data_[static_cast<std::size_t>(my) * width_ +
-               static_cast<std::size_t>(mx)];
 }
 
 Image random_scene(const SceneConfig& config, common::Rng& rng) {

@@ -7,6 +7,7 @@
 // content-dependent — the source of execution-time variance.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -33,7 +34,13 @@ class Image {
 
   /// Clamped accessor: coordinates outside the image are clamped to the
   /// border (replicate padding), as the convolution kernels expect.
-  [[nodiscard]] float at_clamped(long x, long y) const;
+  /// Inline: smooth, edge and corner read 5-9 clamped pixels per pixel.
+  [[nodiscard]] float at_clamped(long x, long y) const {
+    const long mx = std::clamp<long>(x, 0, static_cast<long>(width_) - 1);
+    const long my = std::clamp<long>(y, 0, static_cast<long>(height_) - 1);
+    return data_[static_cast<std::size_t>(my) * width_ +
+                 static_cast<std::size_t>(mx)];
+  }
 
   [[nodiscard]] const std::vector<float>& data() const { return data_; }
   [[nodiscard]] std::vector<float>& data() { return data_; }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,17 +40,30 @@ struct ExecutionProfile {
   [[nodiscard]] double pessimism_ratio() const;
 };
 
-/// Runs `samples` randomized executions of `kernel`, computes the moments
-/// and the static WCET, and checks the static bound dominates every
-/// observation. Requires samples >= 1.
+/// Runs `samples` randomized executions of every kernel in `kernels`,
+/// computes each kernel's moments and static WCET, and checks that the
+/// static bound dominates every observation. Profile k is kernel k's
+/// campaign under seed `seeds[k]`. Requires samples >= 1 and
+/// seeds.size() == kernels.size(); an empty kernel list yields an empty
+/// result.
 ///
-/// Sample i draws from a counter-based stream seeded by
-/// common::index_seed(seed, i), so the campaign is deterministic in `seed`
-/// alone and bit-identical at every --jobs count (the per-sample loop runs
-/// through the chunked parallel dispatcher). This stream scheme replaced
-/// the original single sequential Rng; golden ACET/sigma tables were
-/// re-recorded once for the migration (see tests/test_measurement_golden
-/// and DESIGN.md's threading-model notes).
+/// Sample i of kernel k draws from a counter-based stream seeded by
+/// common::index_seed(seeds[k], i), so each campaign is deterministic in
+/// its seed alone and independent of which other kernels share the call.
+/// Every (kernel, sample) pair is one item of a single chunked parallel
+/// loop, so a slow kernel's samples spread over all workers instead of
+/// serializing on one; the moments (reduced serially in sample order),
+/// the static analysis and the WCET check then run per kernel in a
+/// parallel map. The result is bit-identical at every --jobs count. This
+/// stream scheme replaced the original single sequential Rng; golden
+/// ACET/sigma tables were re-recorded once for that migration (see
+/// tests/test_measurement_golden and DESIGN.md's threading-model notes).
+[[nodiscard]] std::vector<ExecutionProfile> measure_kernels(
+    std::span<const KernelPtr> kernels, std::size_t samples,
+    std::span<const std::uint64_t> seeds);
+
+/// One kernel's campaign: measure_kernels over the single pair
+/// (kernel, seed). Requires samples >= 1.
 [[nodiscard]] ExecutionProfile measure_kernel(const Kernel& kernel,
                                               std::size_t samples,
                                               std::uint64_t seed);

@@ -21,8 +21,8 @@
 //  * index_seed — derives a per-item 64-bit seed from a base seed via
 //    SplitMix64 so new parallel call sites can give every item an
 //    independent stream without sequential split() chains. The same
-//    recipe powers counter-based per-sample streams (apps::measure_kernel
-//    seeds sample i from index_seed(seed, i)).
+//    recipe powers counter-based per-sample streams (apps::measure_kernels
+//    seeds kernel k's sample i from index_seed(seeds[k], i)).
 //
 // Determinism contract: a work item must draw randomness only from state
 // it owns (an Rng passed by value, or one seeded from index_seed), must

@@ -29,18 +29,22 @@ std::vector<AssignmentComparison> run_assignment_methods(
     const std::vector<sched::WcetOptPolicyPtr>& extra_methods) {
   const auto kernels = apps::table2_kernels();
 
-  // Every kernel owns a counter-based policy stream Rng(index_seed(seed,
-  // k)) — none of the three methods actually draws from it, but tying
-  // the stream to the kernel's global index keeps the loop
-  // order-independent by construction, so the kernels evaluate in
-  // parallel (and shard) with bit-identical output.
+  // The kernels' campaigns (seed + 31*k for global index k) run as one
+  // flat measurement loop over the executor's slice. Every kernel then
+  // owns a counter-based policy stream Rng(index_seed(seed, k)) — none of
+  // the three methods actually draws from it, but tying the stream to the
+  // kernel's global index keeps the loop order-independent by
+  // construction, so the kernels evaluate in parallel (and shard) with
+  // bit-identical output.
   const auto [begin, end] = exec.range(kernels.size());
-  return common::parallel_map_chunked(end - begin, 1, [&, base = begin](
-                                                          std::size_t j) {
-    const std::size_t k = base + j;
-    common::Rng policy_rng(common::index_seed(seed, k));
-    const apps::ExecutionProfile profile =
-        apps::measure_kernel(*kernels[k], samples, seed + 31 * k);
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t k = begin; k < end; ++k) seeds.push_back(seed + 31 * k);
+  const std::vector<apps::ExecutionProfile> profiles = apps::measure_kernels(
+      std::span(kernels).subspan(begin, end - begin), samples, seeds);
+  return common::parallel_map(profiles.size(), [&, base = begin](
+                                                   std::size_t j) {
+    common::Rng policy_rng(common::index_seed(seed, base + j));
+    const apps::ExecutionProfile& profile = profiles[j];
     const std::size_t half = profile.samples.size() / 2;
     const std::span<const double> train(profile.samples.data(), half);
     const std::span<const double> holdout(profile.samples.data() + half,

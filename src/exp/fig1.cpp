@@ -14,8 +14,9 @@ Fig1Data run_fig1(const std::string& application, std::size_t samples,
   const auto kernels = apps::table1_kernels(1000);
   for (const auto& kernel : kernels) {
     if (kernel->name() != application) continue;
-    // Single-kernel figure: all parallelism comes from measure_kernel's
-    // counter-based per-sample streams (bit-identical at any --jobs).
+    // Single-kernel figure: measure_kernel spreads the samples over the
+    // pool through counter-based per-sample streams (bit-identical at any
+    // --jobs).
     const apps::ExecutionProfile profile =
         apps::measure_kernel(*kernel, samples, seed);
     Fig1Data data{application,

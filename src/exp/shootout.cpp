@@ -40,18 +40,21 @@ std::vector<ShootoutKernelRow> run_shootout_kernels(
     std::size_t samples, std::uint64_t seed, const common::Executor& exec) {
   const auto kernels = apps::all_kernels();
 
-  // Same layout as ablation A4: each kernel owns counter-based streams
-  // (measurement seed + 31*k, policy stream index_seed(seed, k) — unused
-  // by the deterministic roster but kept for interface parity), so
-  // kernels evaluate in parallel and shard with bit-identical rows.
+  // Same layout as ablation A4: the campaigns (measurement seed + 31*k)
+  // run as one flat measurement loop over the executor's slice, then each
+  // kernel owns a counter-based policy stream index_seed(seed, k) —
+  // unused by the deterministic roster but kept for interface parity —
+  // so kernels evaluate in parallel and shard with bit-identical rows.
   const auto [begin, end] = exec.range(kernels.size());
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t k = begin; k < end; ++k) seeds.push_back(seed + 31 * k);
+  const std::vector<apps::ExecutionProfile> profiles = apps::measure_kernels(
+      std::span(kernels).subspan(begin, end - begin), samples, seeds);
   const std::vector<std::vector<ShootoutKernelRow>> per_kernel =
-      common::parallel_map_chunked(
-          end - begin, 1, [&, base = begin](std::size_t j) {
-            const std::size_t k = base + j;
-            common::Rng policy_rng(common::index_seed(seed, k));
-            const apps::ExecutionProfile profile =
-                apps::measure_kernel(*kernels[k], samples, seed + 31 * k);
+      common::parallel_map(
+          profiles.size(), [&, base = begin](std::size_t j) {
+            common::Rng policy_rng(common::index_seed(seed, base + j));
+            const apps::ExecutionProfile& profile = profiles[j];
             const std::size_t half = profile.samples.size() / 2;
             const std::span<const double> train(profile.samples.data(), half);
             const std::span<const double> holdout(

@@ -2,36 +2,36 @@
 
 #include "apps/measurement.hpp"
 #include "apps/registry.hpp"
-#include "common/thread_pool.hpp"
 
 namespace mcs::exp {
+
+Table1Row table1_row(const apps::ExecutionProfile& profile) {
+  Table1Row row;
+  row.application = profile.name;
+  row.acet = profile.acet;
+  row.wcet_pes = static_cast<double>(profile.wcet_pes);
+  row.sigma = profile.sigma;
+  row.overrun_at_acet = profile.overrun_rate(profile.acet);
+  for (std::size_t d = 0; d < kTable1Divisors.size(); ++d)
+    row.overrun_at_fraction[d] =
+        profile.overrun_rate(row.wcet_pes / kTable1Divisors[d]);
+  return row;
+}
 
 std::vector<Table1Row> run_table1(std::size_t samples, std::uint64_t seed,
                                   std::size_t large_qsort) {
   std::vector<Table1Row> rows;
   const auto kernels = apps::table1_kernels(large_qsort);
-  // Every kernel's measurement campaign is seeded independently (seed + k)
-  // already, so the campaigns run in parallel; rows are built in kernel
-  // order afterwards. Inside each campaign measure_kernel fans out over
-  // counter-based per-sample streams, which run inline on the worker that
-  // owns the kernel (nested regions never over-subscribe the pool).
+  // Kernel k's campaign is seeded seed + k. measure_kernels runs every
+  // (kernel, sample) pair as one item of a single parallel loop, so the
+  // qsort-10000 samples spread over all workers; rows are built in kernel
+  // order afterwards.
+  std::vector<std::uint64_t> seeds(kernels.size());
+  for (std::size_t k = 0; k < kernels.size(); ++k) seeds[k] = seed + k;
   const std::vector<apps::ExecutionProfile> profiles =
-      common::parallel_map(kernels.size(), [&](std::size_t k) {
-        return apps::measure_kernel(*kernels[k], samples, seed + k);
-      });
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    const apps::ExecutionProfile& profile = profiles[k];
-    Table1Row row;
-    row.application = profile.name;
-    row.acet = profile.acet;
-    row.wcet_pes = static_cast<double>(profile.wcet_pes);
-    row.sigma = profile.sigma;
-    row.overrun_at_acet = profile.overrun_rate(profile.acet);
-    for (std::size_t d = 0; d < kTable1Divisors.size(); ++d)
-      row.overrun_at_fraction[d] =
-          profile.overrun_rate(row.wcet_pes / kTable1Divisors[d]);
-    rows.push_back(row);
-  }
+      apps::measure_kernels(kernels, samples, seeds);
+  for (const apps::ExecutionProfile& profile : profiles)
+    rows.push_back(table1_row(profile));
   return rows;
 }
 

@@ -10,6 +10,10 @@
 
 #include "common/table.hpp"
 
+namespace mcs::apps {
+struct ExecutionProfile;
+}  // namespace mcs::apps
+
 namespace mcs::exp {
 
 /// The WCET^pes divisors of Table I's right-hand columns.
@@ -24,6 +28,10 @@ struct Table1Row {
   double overrun_at_acet = 0.0;  ///< fraction in [0,1]
   std::array<double, kTable1Divisors.size()> overrun_at_fraction{};
 };
+
+/// The Table I row of one measured campaign: its moments, WCET^pes and
+/// overrun rates at ACET and at each WCET^pes fraction.
+[[nodiscard]] Table1Row table1_row(const apps::ExecutionProfile& profile);
 
 /// Runs the measurement campaign (`samples` runs per application, paper:
 /// 20000) and the static analysis for every Table I application.

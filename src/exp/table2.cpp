@@ -1,8 +1,9 @@
 #include "exp/table2.hpp"
 
+#include <span>
+
 #include "apps/measurement.hpp"
 #include "apps/registry.hpp"
-#include "common/thread_pool.hpp"
 #include "stats/chebyshev.hpp"
 
 namespace mcs::exp {
@@ -11,18 +12,16 @@ Table2Data run_table2(std::size_t samples, std::uint64_t seed,
                       const common::Executor& exec) {
   Table2Data data;
   const auto kernels = apps::table2_kernels();
-  // Kernel campaigns are independently seeded (seed + 100 + k): measure
-  // them in parallel, then collect names/empiricals in kernel order. The
-  // per-sample loops inside measure_kernel use counter-based streams and
-  // run inline on the owning worker. Table II shards column-wise: a
-  // sharded executor measures only its slice of the kernel list, and the
-  // global index k keeps each campaign's seed shard-invariant.
+  // Kernel campaigns are independently seeded (seed + 100 + k) and
+  // measured by one flat (kernel, sample) loop; names and empiricals are
+  // collected in kernel order. Table II shards column-wise: a sharded
+  // executor measures only its slice of the kernel list, and the global
+  // index k keeps each campaign's seed shard-invariant.
   const auto [begin, end] = exec.range(kernels.size());
-  const std::vector<apps::ExecutionProfile> profiles =
-      common::parallel_map(end - begin, [&, base = begin](std::size_t j) {
-        const std::size_t k = base + j;
-        return apps::measure_kernel(*kernels[k], samples, seed + 100 + k);
-      });
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t k = begin; k < end; ++k) seeds.push_back(seed + 100 + k);
+  const std::vector<apps::ExecutionProfile> profiles = apps::measure_kernels(
+      std::span(kernels).subspan(begin, end - begin), samples, seeds);
   std::vector<stats::EmpiricalDistribution> empiricals;
   for (const apps::ExecutionProfile& profile : profiles) {
     data.applications.push_back(profile.name);

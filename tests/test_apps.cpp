@@ -40,6 +40,38 @@ TEST(CycleCounter, AccumulatesByClass) {
   EXPECT_EQ(cc.total(), 0U);
 }
 
+TEST(CycleCounter, PerClassCountsMatchRunningSum) {
+  // The counter keeps per-class counts and prices them once; the total
+  // must equal the running sum of n * op_cost over every add(), under
+  // either cost table.
+  for (const wcet::CostModel& model :
+       {wcet::CostModel::typical(), wcet::CostModel::worst_case()}) {
+    common::Rng rng(42);
+    CycleCounter cc(model);
+    for (int round = 0; round < 3; ++round) {
+      common::Cycles expected = 0;
+      std::size_t instructions = 0;
+      for (int step = 0; step < 2000; ++step) {
+        const auto op = static_cast<wcet::OpClass>(
+            rng.uniform_u64(0, wcet::kOpClassCount - 1));
+        const std::size_t n = rng.uniform_u64(0, 1000);
+        cc.add(op, n);
+        expected += static_cast<common::Cycles>(n) * model.op_cost(op);
+        instructions += n;
+        if (step % 97 == 0) {
+          EXPECT_EQ(cc.total(), expected);
+          EXPECT_EQ(cc.instructions(), instructions);
+        }
+      }
+      EXPECT_EQ(cc.total(), expected);
+      EXPECT_EQ(cc.instructions(), instructions);
+      cc.reset();
+      EXPECT_EQ(cc.total(), 0U);
+      EXPECT_EQ(cc.instructions(), 0U);
+    }
+  }
+}
+
 TEST(Image, ClampedAccess) {
   Image img(4, 4);
   img.at(0, 0) = 7.0F;
@@ -200,6 +232,17 @@ TEST(Measurement, OverrunRateMatchesDefinition) {
 TEST(Measurement, ZeroSamplesThrow) {
   const QsortKernel kernel(10);
   EXPECT_THROW((void)measure_kernel(kernel, 0, 1), std::invalid_argument);
+}
+
+TEST(Measurement, MeasureKernelsArgumentChecks) {
+  const std::vector<KernelPtr> kernels = table2_kernels();
+  const std::vector<std::uint64_t> seeds(kernels.size(), 1);
+  EXPECT_THROW((void)measure_kernels(kernels, 0, seeds),
+               std::invalid_argument);
+  const std::vector<std::uint64_t> short_seeds(kernels.size() - 1, 1);
+  EXPECT_THROW((void)measure_kernels(kernels, 10, short_seeds),
+               std::invalid_argument);
+  EXPECT_TRUE(measure_kernels({}, 10, {}).empty());
 }
 
 TEST(FftKernel, Validation) {

@@ -61,8 +61,9 @@ TEST_P(ConcentrationProperty, B1_BoundsMonotoneInN) {
       EXPECT_LE(pa, 1.0) << bound_name(kind);
       // Strict inside the active region (chebyshev2 saturates at 1 until
       // n = 1; the one-sided bounds are strict for all n > 0).
-      if (a > 1.05)
+      if (a > 1.05) {
         EXPECT_LT(pb, pa) << bound_name(kind) << " a=" << a << " b=" << b;
+      }
     }
   }
 }

@@ -64,6 +64,47 @@ TEST(Determinism, MeasureKernelBitIdenticalAcrossJobs) {
   }
 }
 
+TEST(Determinism, MeasureKernelsMatchesPerKernelCampaigns) {
+  // One flat (kernel, sample) loop over the Table I and zoo kernels must
+  // give every kernel exactly the campaign measure_kernel gives it alone,
+  // and both must equal the serial loop over the per-sample streams, at
+  // every --jobs count.
+  const auto kernels = apps::all_kernels(200);
+  constexpr std::size_t kSamples = 40;
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t k = 0; k < kernels.size(); ++k)
+    seeds.push_back(5 + 31 * k);
+  const auto flat = serial_and_parallel(
+      [&] { return apps::measure_kernels(kernels, kSamples, seeds); });
+  const auto single = serial_and_parallel([&] {
+    std::vector<apps::ExecutionProfile> out;
+    for (std::size_t k = 0; k < kernels.size(); ++k)
+      out.push_back(apps::measure_kernel(*kernels[k], kSamples, seeds[k]));
+    return out;
+  });
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    std::vector<double> serial(kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      common::Rng rng(common::index_seed(seeds[k], i));
+      serial[i] = static_cast<double>(kernels[k]->run_once(rng));
+    }
+    const apps::ExecutionProfile& ref = single[0][k];
+    EXPECT_EQ(ref.samples, serial) << kernels[k]->name();
+    for (const auto* runs : {&flat, &single}) {
+      for (std::size_t r = 0; r < runs->size(); ++r) {
+        ASSERT_EQ((*runs)[r].size(), kernels.size());
+        const apps::ExecutionProfile& p = (*runs)[r][k];
+        EXPECT_EQ(p.name, kernels[k]->name());
+        EXPECT_EQ(p.samples, ref.samples) << p.name << " run " << r;
+        EXPECT_EQ(p.acet, ref.acet) << p.name << " run " << r;
+        EXPECT_EQ(p.sigma, ref.sigma) << p.name << " run " << r;
+        EXPECT_EQ(p.observed_max, ref.observed_max) << p.name;
+        EXPECT_EQ(p.wcet_pes, ref.wcet_pes) << p.name << " run " << r;
+      }
+    }
+  }
+}
+
 TEST(Determinism, ChunkedDispatchMatchesUnchunkedAtEveryGrain) {
   // Chunking is a pure dispatch optimization: for a stream-per-index
   // workload the results must be bit-identical to grain-1 dispatch for

@@ -61,7 +61,9 @@ TEST(Reservoir, UniformInclusionOverLongStream) {
   }
   constexpr int kTotal = kCapacity * kTrials;
   for (int s = 0; s < kSegments; ++s) {
-    const double fraction = static_cast<double>(segment_hits[s]) / kTotal;
+    const double fraction =
+        static_cast<double>(segment_hits[static_cast<std::size_t>(s)]) /
+        kTotal;
     // Binomial std-dev of a segment fraction is ~0.0017; 0.02 is > 10 sigma.
     EXPECT_NEAR(fraction, 1.0 / kSegments, 0.02) << "segment " << s;
   }
