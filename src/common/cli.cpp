@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -17,8 +19,10 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
   // --jobs=-1 (or --tasksets=-5) is an error, not a huge count.
   if (text[0] == '-' || text[0] == '+') return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  // ERANGE: strtoull clamps an out-of-range value to 2^64-1.
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
   out = static_cast<std::uint64_t>(v);
   return true;
 }
@@ -26,8 +30,13 @@ bool parse_u64(const std::string& text, std::uint64_t& out) {
 bool parse_double(const std::string& text, double& out) {
   if (text.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  // strtod accepts "inf"/"nan" and clamps overflow to HUGE_VAL; none of
+  // them is a usable parameter value.
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v))
+    return false;
   out = v;
   return true;
 }

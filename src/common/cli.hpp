@@ -44,8 +44,8 @@ class Cli {
 
   /// Registers the standard `--out FILE` option: the driver writes its
   /// CSV block atomically to FILE (temp file + rename, see
-  /// common/csv_merge.hpp) instead of stdout, so supervisors like
-  /// tools/mcs_launch never pick up a torn partial. Implies --csv on
+  /// common/csv_merge.hpp) instead of stdout, so a shard partial that a
+  /// later mcs_merge reads is never torn. Implies --csv on
   /// drivers that have a human-readable mode.
   void add_output(std::string* target);
 

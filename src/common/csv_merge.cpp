@@ -1,6 +1,5 @@
 #include "common/csv_merge.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -14,6 +13,17 @@ namespace {
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error(message);
+}
+
+// Every row must be as wide as its own file's header; a short or long row
+// would shift later fields under the wrong column once merged.
+void check_row_widths(const CsvFile& file) {
+  for (std::size_t r = 0; r < file.rows.size(); ++r) {
+    if (file.rows[r].size() != file.header.size())
+      fail(file.path + " row " + std::to_string(r) + " has " +
+           std::to_string(file.rows[r].size()) + " fields but its header has " +
+           std::to_string(file.header.size()));
+  }
 }
 
 }  // namespace
@@ -46,6 +56,7 @@ void merge_csv_rows(const std::vector<CsvFile>& files, std::ostream& out) {
     if (file.header != files.front().header)
       fail("header of " + file.path + " differs from " +
            files.front().path + " — these are not shards of the same run");
+    check_row_widths(file);
   }
   CsvWriter writer(out);
   writer.write_row(files.front().header);
@@ -58,44 +69,40 @@ void merge_csv_columns(const std::vector<CsvFile>& files, std::size_t keys,
   if (files.empty()) fail("no input files");
   if (keys == 0) fail("column paste requires at least one key column");
   const CsvFile& first = files.front();
-  if (first.header.size() < keys)
-    fail(first.path + " has fewer than " + std::to_string(keys) +
-         " key columns");
   for (const CsvFile& file : files) {
+    if (file.header.size() < keys)
+      fail(file.path + " has fewer than " + std::to_string(keys) +
+           " key columns");
+    check_row_widths(file);
     if (file.rows.size() != first.rows.size())
       fail(file.path + " has " + std::to_string(file.rows.size()) +
            " rows but " + first.path + " has " +
            std::to_string(first.rows.size()) +
            " — shards of the same run must agree");
     for (std::size_t c = 0; c < keys; ++c) {
-      if (file.header.size() < keys || file.header[c] != first.header[c])
+      if (file.header[c] != first.header[c])
         fail("key columns of " + file.path + " differ from " + first.path);
       for (std::size_t r = 0; r < file.rows.size(); ++r) {
-        if (file.rows[r].size() <= c || file.rows[r][c] != first.rows[r][c])
+        if (file.rows[r][c] != first.rows[r][c])
           fail("key column " + std::to_string(c) + " of " + file.path +
                " row " + std::to_string(r) + " differs from " + first.path);
       }
     }
   }
+  const auto key_end = static_cast<std::ptrdiff_t>(keys);
   std::vector<std::string> header(first.header.begin(),
-                                  first.header.begin() +
-                                      static_cast<std::ptrdiff_t>(keys));
+                                  first.header.begin() + key_end);
   for (const CsvFile& file : files)
-    header.insert(header.end(),
-                  file.header.begin() + static_cast<std::ptrdiff_t>(keys),
+    header.insert(header.end(), file.header.begin() + key_end,
                   file.header.end());
   CsvWriter writer(out);
   writer.write_row(header);
   for (std::size_t r = 0; r < first.rows.size(); ++r) {
-    std::vector<std::string> row(
-        first.rows[r].begin(),
-        first.rows[r].begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(keys, first.rows[r].size())));
+    std::vector<std::string> row(first.rows[r].begin(),
+                                 first.rows[r].begin() + key_end);
     for (const CsvFile& file : files)
-      if (file.rows[r].size() > keys)
-        row.insert(row.end(),
-                   file.rows[r].begin() + static_cast<std::ptrdiff_t>(keys),
-                   file.rows[r].end());
+      row.insert(row.end(), file.rows[r].begin() + key_end,
+                 file.rows[r].end());
     writer.write_row(row);
   }
 }

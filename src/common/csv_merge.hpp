@@ -1,11 +1,12 @@
-// Shard-CSV recombination, shared by tools/mcs_merge (the manual path)
-// and tools/mcs_launch (the supervised path).
+// Shard-CSV recombination behind tools/mcs_merge, plus the atomic file
+// write behind every driver's `--out`.
 //
 // Shard drivers (`--shard i/N --csv`) emit partial CSVs over a
 // deterministically split index space; these helpers recombine them into
 // the file the unsharded run would have written, byte for byte. Any
 // inconsistency between shards — mismatched headers in row mode,
-// mismatched key columns or row counts in paste mode — throws
+// mismatched key columns or row counts in paste mode, and in either mode
+// a row whose width differs from its own file's header — throws
 // std::runtime_error: silent misalignment would corrupt the merged
 // experiment.
 #pragma once

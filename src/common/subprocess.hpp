@@ -2,10 +2,11 @@
 // redirection, non-blocking polls, deadline waits and process-group
 // kills, with exit codes and terminating signals reported separately.
 //
-// This is the process layer under tools/mcs_launch: shard attempts run as
-// children in their own process groups so a hung attempt (including any
-// helpers an ssh/slurm wrapper forked) can be killed as a unit when its
-// deadline passes.
+// Its clients are the benchmark's serve_churn workload, which runs
+// `mcs-cli serve` as a child and stops it by signal, and the benchmark
+// report's cold set-up runs, each a fresh child under a deadline. A child
+// in its own process group (the default) is killed as a unit together
+// with any helpers it forked.
 #pragma once
 
 #include <string>
@@ -66,7 +67,7 @@ class Subprocess {
 
   /// Non-blocking: reaps and returns true if the child has finished
   /// (status() then holds the result); false while still running.
-  /// Retries waitpid on EINTR — a signal delivered to the supervisor is
+  /// Retries waitpid on EINTR — a signal delivered to the parent is
   /// never misread as the child having exited with an unknown status.
   bool poll();
 
@@ -86,10 +87,6 @@ class Subprocess {
   [[nodiscard]] bool finished() const { return finished_; }
   /// Valid once finished() is true.
   [[nodiscard]] const ExitStatus& status() const { return status_; }
-  /// Flags the (finished) status as deadline-killed. Supervisors that
-  /// manage deadlines across many children themselves (kill + poll) use
-  /// this to record why the child died.
-  void mark_timed_out() { status_.timed_out = true; }
   [[nodiscard]] pid_t pid() const { return pid_; }
 
  private:

@@ -141,6 +141,9 @@ void run_chunked(std::size_t count, std::size_t grain, std::size_t jobs,
     std::mutex mutex;
     std::condition_variable done;
     std::exception_ptr error;
+    // Set (under `mutex`) together with `error`; pumps poll it lock-free
+    // so a grain-1 batch does not take the mutex once per item.
+    std::atomic<bool> failed{false};
   };
   if (grain == 0) grain = auto_grain(count, jobs);
   const std::size_t chunks = (count + grain - 1) / grain;
@@ -156,17 +159,17 @@ void run_chunked(std::size_t count, std::size_t grain, std::size_t jobs,
       if (c >= chunks) break;
       // After the first failure, drain remaining chunks without running
       // them so the batch finishes promptly.
-      {
-        std::lock_guard<std::mutex> lock(batch->mutex);
-        if (batch->error) break;
-      }
+      if (batch->failed.load(std::memory_order_acquire)) break;
       const std::size_t begin = c * grain;
       const std::size_t end = begin + grain < count ? begin + grain : count;
       try {
         for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(batch->mutex);
-        if (!batch->error) batch->error = std::current_exception();
+        if (!batch->error) {
+          batch->error = std::current_exception();
+          batch->failed.store(true, std::memory_order_release);
+        }
         break;
       }
     }

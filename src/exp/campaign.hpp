@@ -3,7 +3,7 @@
 //
 // This is the driver behind `mcs-cli campaign` and the ROADMAP's
 // million-sim item: the result is O(points) regardless of how many sets
-// each point simulates, so a sharded `mcs_launch` run ships one CSV row
+// each point simulates, so a `--shard` run ships one CSV row
 // per owned point instead of per-set metric dumps. Set s of point p is
 // seeded by index_seed(seed, global set index), so every (backend, shard,
 // jobs) combination reproduces the same bits; block accumulators are
@@ -43,7 +43,7 @@ struct SimCampaignCell {
 };
 
 /// Runs the campaign over the executor's slice of `cfg.u_values` (the
-/// whole axis by default; a shard's contiguous slice under `mcs_launch`).
+/// whole axis by default; a shard's contiguous slice under `--shard`).
 /// Admitted sets simulate with the analysis x, rejected ones with x = 1
 /// (they are simulated anyway — the campaign measures behaviour, not the
 /// test), and every run folds into the point's accumulator.

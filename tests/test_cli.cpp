@@ -50,11 +50,30 @@ TEST(Cli, MissingValueFails) {
 }
 
 TEST(Cli, BadNumberFails) {
+  // strtoull clamps out-of-range values to 2^64-1; they must not parse.
+  for (const char* arg : {"--v=abc", "--v=99999999999999999999999",
+                          "--v=18446744073709551616"}) {
+    std::uint64_t v = 0;
+    Cli cli("test");
+    cli.add_u64("v", &v, "value");
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.parse(2, argv)) << arg;
+  }
+  for (const char* arg : {"--d=abc", "--d=nan", "--d=-nan", "--d=inf",
+                          "--d=-infinity", "--d=1e999"}) {
+    double d = 0.5;
+    Cli cli("test");
+    cli.add_double("d", &d, "value");
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(cli.parse(2, argv)) << arg;
+  }
+  // The largest u64 is still in range.
   std::uint64_t v = 0;
   Cli cli("test");
   cli.add_u64("v", &v, "value");
-  const char* argv[] = {"prog", "--v=abc"};
-  EXPECT_FALSE(cli.parse(2, argv));
+  const char* argv[] = {"prog", "--v=18446744073709551615"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(v, 18446744073709551615ULL);
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -1,6 +1,7 @@
-// Tests for common/retry.hpp (backoff arithmetic, injectable-sleep retry
-// loop) and common/subprocess.hpp (exit-code and signal capture, deadline
-// kills, stdout redirection) — the process layer under tools/mcs_launch.
+// Tests for common/subprocess.hpp: exit-code and signal capture, deadline
+// kills and stdout redirection. Its remaining clients are the benchmark's
+// serve_churn workload (an `mcs-cli serve` child per run) and the cold
+// set-up runs the benchmark report times as fresh child processes.
 //
 // The SubprocessRegression suite pins three bugfixes with deterministic
 // syscall interposition: this binary defines its own `waitpid` and `kill`
@@ -8,7 +9,7 @@
 // fake still-running results on a countdown, then pass through to the
 // real syscalls. Each test fails on the pre-fix code:
 //   * poll() once treated an EINTR'd waitpid as "child finished, unknown
-//     status" — a stray supervisor signal corrupted the exit report;
+//     status" — a stray signal to the parent corrupted the exit report;
 //   * wait_deadline() once flagged timed_out even when the child exited
 //     between the deadline check and the SIGKILL, mislabelling a real
 //     exit status as a timeout;
@@ -30,7 +31,6 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include "common/retry.hpp"
 #include "common/subprocess.hpp"
 
 namespace {
@@ -83,61 +83,6 @@ extern "C" int kill(pid_t pid, int sig) __THROW {
 
 namespace mcs::common {
 namespace {
-
-TEST(RetryPolicy, DelaysGrowExponentiallyAndCap) {
-  RetryPolicy policy;
-  policy.base_delay_ms = 100.0;
-  policy.multiplier = 2.0;
-  policy.max_delay_ms = 450.0;
-  EXPECT_DOUBLE_EQ(policy.delay_ms(0), 0.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(1), 100.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(2), 200.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(3), 400.0);
-  EXPECT_DOUBLE_EQ(policy.delay_ms(4), 450.0);  // capped
-  EXPECT_DOUBLE_EQ(policy.delay_ms(50), 450.0); // no overflow blow-up
-}
-
-TEST(RetryPolicy, RetryWithStopsOnFirstSuccess) {
-  RetryPolicy policy;
-  policy.attempts = 5;
-  int calls = 0;
-  std::vector<double> slept;
-  const RetryResult r = retry_with(
-      policy, [&] { return ++calls == 3; },
-      [&](double ms) { slept.push_back(ms); });
-  EXPECT_TRUE(r.success);
-  EXPECT_EQ(r.attempts_used, 3U);
-  EXPECT_EQ(calls, 3);
-  // Slept exactly between failed attempts, per the schedule.
-  ASSERT_EQ(slept.size(), 2U);
-  EXPECT_DOUBLE_EQ(slept[0], policy.delay_ms(1));
-  EXPECT_DOUBLE_EQ(slept[1], policy.delay_ms(2));
-}
-
-TEST(RetryPolicy, RetryWithExhaustsAttempts) {
-  RetryPolicy policy;
-  policy.attempts = 3;
-  int calls = 0;
-  std::vector<double> slept;
-  const RetryResult r = retry_with(
-      policy, [&] { ++calls; return false; },
-      [&](double ms) { slept.push_back(ms); });
-  EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.attempts_used, 3U);
-  EXPECT_EQ(calls, 3);
-  // No sleep after the final failure.
-  EXPECT_EQ(slept.size(), 2U);
-}
-
-TEST(RetryPolicy, ZeroAttemptsStillTriesOnce) {
-  RetryPolicy policy;
-  policy.attempts = 0;
-  int calls = 0;
-  const RetryResult r =
-      retry_with(policy, [&] { ++calls; return false; }, [](double) {});
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(r.attempts_used, 1U);
-}
 
 TEST(Subprocess, CapturesExitCode) {
   const ExitStatus status = run_process({"sh", "-c", "exit 3"});

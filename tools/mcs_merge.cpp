@@ -18,9 +18,10 @@
 //      mcs_merge --paste=2 t2_0.csv t2_1.csv > table2.csv
 //
 // Output goes to stdout (or `--output=FILE`, written atomically). The
-// merge logic itself lives in common/csv_merge.hpp, shared with the
-// supervised fan-out path (tools/mcs_launch); any inconsistency between
-// shards is a hard error there, reported here with exit 1.
+// merge logic itself lives in common/csv_merge.hpp; any inconsistency
+// between shards (headers, key columns, row counts, a row whose width
+// differs from its header) is a hard error there, reported here with
+// exit 1.
 #include <cstdint>
 #include <cstdio>
 #include <exception>
