@@ -20,7 +20,7 @@ mcs::core::MlSystem random_system(std::size_t levels, std::size_t tasks,
   system.rho = rho;
   for (std::size_t i = 0; i < tasks; ++i) {
     mcs::core::MlTask task;
-    task.name = "t" + std::to_string(i);
+    task.name = std::string("t").append(std::to_string(i));
     task.level = static_cast<std::size_t>(rng.uniform_u64(1, levels));
     task.period = rng.uniform(100.0, 900.0);
     const double util_pes = rng.uniform(0.03, 0.12);

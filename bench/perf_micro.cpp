@@ -5,6 +5,7 @@
 // library's throughput so users can size paper-scale sweeps.
 #include <benchmark/benchmark.h>
 
+#include "apps/image.hpp"
 #include "apps/qsort_kernel.hpp"
 #include "common/rng.hpp"
 #include "common/stats_accumulator.hpp"
@@ -76,6 +77,18 @@ void BM_KernelRunQsort(benchmark::State& state) {
     benchmark::DoNotOptimize(kernel.run_once(rng));
 }
 BENCHMARK(BM_KernelRunQsort)->Arg(100)->Arg(1000);
+
+// Scene synthesis alone at the image kernels' default 64x64 SceneConfig:
+// the input generator that corner, edge, smooth and epic run per sample.
+void BM_RandomScene(benchmark::State& state) {
+  const apps::SceneConfig config;
+  common::Rng rng(4);
+  for (auto _ : state) {
+    const apps::Image img = apps::random_scene(config, rng);
+    benchmark::DoNotOptimize(img.data().data());
+  }
+}
+BENCHMARK(BM_RandomScene)->Unit(benchmark::kMicrosecond);
 
 mc::TaskSet bench_taskset(double u, std::uint64_t seed) {
   common::Rng rng(seed);

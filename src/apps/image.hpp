@@ -62,6 +62,39 @@ struct SceneConfig {
 
 /// Draws a random scene: `blobs` Gaussian bumps of random position, radius
 /// and amplitude on a noisy background.
+///
+/// Pixel (x, y) of blob b receives
+///   float(amplitude * exp(-(dx*dx + dy*dy) * inv2r2))
+/// with dx = x - cx, dy = y - cy, blob contributions accumulate in float
+/// in blob order and the noise is added last. That value is computed in
+/// separable form, amplitude*exp(-dy*dy*inv2r2) * exp(-dx*dx*inv2r2) from
+/// one per-row and one per-column table (width + height exp calls per blob
+/// instead of width * height), and every product that
+/// detail::scene_needs_exact flags is recomputed with the expression above,
+/// so each output bit equals that of the per-pixel formula (DESIGN.md,
+/// "Scene synthesis").
 [[nodiscard]] Image random_scene(const SceneConfig& config, common::Rng& rng);
+
+namespace detail {
+
+/// Relative half-width of the scene guard window, 3 * 2^-37 (about
+/// 2^-35.4): between 2^16 and 2^18 units in the last place of a double,
+/// whatever its mantissa. Wherever all its factors are normal doubles the
+/// separable product is within 2^-41 relative of the per-pixel formula's
+/// value, so the window holds that value with a margin of 48.
+inline constexpr double kSceneGuardWidth = 0x3p-37;
+
+/// Scene-synthesis guard: true when the two ends of the window
+/// [p (1 - kSceneGuardWidth), p (1 + kSceneGuardWidth)] round to different
+/// floats, i.e. when a float rounding boundary may lie inside it. Rounding
+/// to nearest is monotone, so when this is false every double in the
+/// window, the per-pixel formula's value included, rounds to float(p). The
+/// one test covers normal and subnormal floats alike.
+[[nodiscard]] inline bool scene_needs_exact(double p) {
+  return static_cast<float>(p * (1.0 - kSceneGuardWidth)) !=
+         static_cast<float>(p * (1.0 + kSceneGuardWidth));
+}
+
+}  // namespace detail
 
 }  // namespace mcs::apps

@@ -480,10 +480,11 @@ TEST(DemandBackend, AcceptsSupersetOfUtilization) {
       if (hc) {
         const double wcet_hi =
             std::min(period, wcet_lo * rng.uniform(1.3, 3.0));
-        task = mc::McTask::high("h" + std::to_string(i), wcet_lo, wcet_hi,
-                                period);
+        task = mc::McTask::high(std::string("h").append(std::to_string(i)),
+                                wcet_lo, wcet_hi, period);
       } else {
-        task = mc::McTask::low("l" + std::to_string(i), wcet_lo, period);
+        task = mc::McTask::low(std::string("l").append(std::to_string(i)),
+                               wcet_lo, period);
       }
       if (rng.bernoulli(0.5)) {
         task.deadline_override =

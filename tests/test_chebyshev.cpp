@@ -101,6 +101,13 @@ struct BoundCase {
   DistributionPtr dist;
 };
 
+// Without a printer gtest dumps the raw bytes of the case, pointers
+// included, into the listed test name, so the CTest name would change with
+// every build's address layout.
+void PrintTo(const BoundCase& bound_case, std::ostream* os) {
+  *os << bound_case.label;
+}
+
 class ChebyshevBoundProperty : public ::testing::TestWithParam<BoundCase> {};
 
 TEST_P(ChebyshevBoundProperty, EmpiricalExceedanceBelowBound) {

@@ -43,7 +43,9 @@ TEST(Dot, EveryBlockAndEdgeListed) {
   const ControlFlowGraph cfg = lower_program(*p);
   const std::string dot = to_dot(cfg);
   for (BlockId b = 0; b < cfg.block_count(); ++b) {
-    EXPECT_NE(dot.find("b" + std::to_string(b) + " ["), std::string::npos);
+    const std::string node =
+        std::string("b").append(std::to_string(b)).append(" [");
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
 }
 

@@ -66,8 +66,8 @@ TEST(Lint, UnassignedOptimismIsWarning) {
 TEST(Lint, OverloadedHcWarning) {
   mc::TaskSet tasks;
   for (int i = 0; i < 2; ++i) {
-    mc::McTask hc = mc::McTask::high("h" + std::to_string(i), 60.0, 60.0,
-                                     100.0);
+    mc::McTask hc = mc::McTask::high(
+        std::string("h").append(std::to_string(i)), 60.0, 60.0, 100.0);
     hc.stats = mc::ExecutionStats{5.0, 1.0, nullptr};
     tasks.add(hc);
   }

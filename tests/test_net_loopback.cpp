@@ -242,8 +242,10 @@ TEST(NetLoopback, ConcurrentSoakKeepsPerConnectionFifo) {
       for (int round = 0; round < kRounds; ++round) {
         // Tiny utilization so every admit succeeds regardless of the
         // other clients; distinct names avoid cross-client clashes.
-        const std::string name =
-            "c" + std::to_string(c) + "_r" + std::to_string(round);
+        const std::string name = std::string("c")
+                                     .append(std::to_string(c))
+                                     .append("_r")
+                                     .append(std::to_string(round));
         client.send_line("admit name=" + name +
                          " crit=LC wcet_lo=0.001 period=100");
         client.send_line("ping");

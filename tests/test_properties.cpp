@@ -123,7 +123,8 @@ TEST_P(SeededProperty, P4_DbfAcceptedConstrainedSetsSimulateCleanly) {
     const double wcet = u * period;
     const double deadline = rng.uniform(0.6, 1.0) * period;
     if (wcet > deadline) continue;
-    tasks.add(mc::McTask::low("t" + std::to_string(index++), wcet, period)
+    tasks.add(mc::McTask::low(std::string("t").append(std::to_string(index++)),
+                              wcet, period)
                   .with_deadline(deadline));
     util += u;
   }
