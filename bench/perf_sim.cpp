@@ -11,7 +11,7 @@
 //     indexed ready set and the expiry heap exist for: the legacy
 //     linear-scan engine degraded as O(ready set) per event.
 //  3. Trace modes at u = 1.0: tracing off, bounded in-memory trace,
-//     async binary file sink, and both together — measuring what a full
+//     binary trace file, and both together — measuring what a full
 //     event log costs per simulated job.
 //
 // Every configuration runs twice and FNV-hashes its SimMetrics; a hash

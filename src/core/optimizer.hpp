@@ -38,17 +38,16 @@ struct OptimizerConfig {
 };
 
 /// The Eq. 13 GA problem itself — genes are the per-HC-task multipliers
-/// n_i in [0, min(n_cap, n_max(i))]. Exposed so drivers can feed the raw
-/// problem to the island-layer primitives (the sharded `mcs-cli optimize
-/// --state-csv` epoch dataflow); `tasks` must outlive the problem.
+/// n_i in [0, min(n_cap, n_max(i))]. Exposed so tests and benchmarks can
+/// run the reference engine ga::run_ga on the very problem the optimizer
+/// searches; `tasks` must outlive the problem.
 /// Requires at least one HC task with stats.
 [[nodiscard]] std::unique_ptr<ga::Problem> make_multiplier_problem(
     const mc::TaskSet& tasks, double n_cap = 64.0);
 
 /// Optimizes per-task multipliers with the GA (Section IV-C "Problem
 /// Solving"): ga::run_island_ga, whose winner is picked by
-/// ga::best_of_state (the same rule the sharded CLI --finalize path
-/// applies). With the default islands plan and no warm start, the
+/// ga::best_of_state from the final populations. With the default islands plan and no warm start, the
 /// populations are those of the single-population engine run_ga on
 /// make_multiplier_problem(tasks, n_cap) bit for bit, so the winner has
 /// the fitness of run_ga's hall-of-fame individual. That rests on

@@ -71,21 +71,21 @@ std::vector<std::size_t> worst_k(const std::vector<Individual>& population,
   return order;
 }
 
-/// Memoized batched evaluation of every unevaluated individual in islands
-/// [begin, end). Classification (hit / pending duplicate / miss) runs
-/// sequentially on the caller thread in island-major member-minor order,
-/// so the hit and miss counts are identical at every --jobs value; only
-/// the de-duplicated miss batch fans out to the pool, and results land by
-/// cache entry. Pending duplicates (the same new genome appearing several
+/// Memoized batched evaluation of every unevaluated individual in the
+/// first `islands` islands. Classification (hit / pending duplicate /
+/// miss) runs sequentially on the caller thread in island-major
+/// member-minor order, so the hit and miss counts are identical at every
+/// --jobs value; only the de-duplicated miss batch fans out to the pool,
+/// and results land by cache entry. Pending duplicates (the same new genome appearing several
 /// times in one batch, e.g. a migrated elite cloned by selection) count
 /// as hits: they share the entry and pay for one evaluation.
-void evaluate_islands(IslandState& state, std::size_t begin, std::size_t end,
+void evaluate_islands(IslandState& state, std::size_t islands,
                       const Problem& problem, GenomeFitCache& cache,
                       IslandStats& stats) {
   const std::size_t first_new = cache.size();
   std::vector<std::pair<Individual*, std::size_t>> pending;
   std::vector<const Genome*> batch;  // genome of entry first_new + k
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < islands; ++i) {
     for (Individual& ind : state[i]) {
       if (ind.evaluated) continue;
       const auto [entry, added] = cache.lookup_or_add(ind.genes);
@@ -122,13 +122,14 @@ void evaluate_islands(IslandState& state, std::size_t begin, std::size_t end,
   }
 }
 
-/// run_ga-compatible hall-of-fame update over islands [begin, end):
-/// starting from unset, the first individual seeds it and later ones
-/// replace it only on strictly greater fitness (first-of-equals wins).
-void update_hall_of_fame(const IslandState& state, std::size_t begin,
-                         std::size_t end, Individual* best) {
+/// run_ga-compatible hall-of-fame update over the first `islands`
+/// islands: starting from unset, the first individual seeds it and later
+/// ones replace it only on strictly greater fitness (first-of-equals
+/// wins).
+void update_hall_of_fame(const IslandState& state, std::size_t islands,
+                         Individual* best) {
   if (best == nullptr) return;
-  for (std::size_t i = begin; i < end; ++i)
+  for (std::size_t i = 0; i < islands; ++i)
     for (const Individual& ind : state[i])
       if (!best->evaluated || ind.fitness > best->fitness) *best = ind;
 }
@@ -250,32 +251,29 @@ std::pair<std::size_t, std::size_t> epoch_generations(
 
 void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
                           std::size_t epoch, IslandState& state,
-                          std::size_t begin, std::size_t end,
                           GenomeFitCache& cache, IslandStats& stats,
                           std::vector<std::vector<GenerationStats>>* history,
                           Individual* hall_of_fame) {
   validate_island_config(problem, config);
   const std::size_t islands = config.plan.islands;
-  if (begin >= end || end > islands)
-    throw std::invalid_argument("evolve_islands_epoch: bad island slice");
   if (epoch >= epoch_count(config))
     throw std::invalid_argument("evolve_islands_epoch: epoch out of range");
   if (state.size() < islands) state.resize(islands);
   if (history != nullptr && history->size() < islands)
     history->resize(islands);
 
-  // Per-epoch counter-based RNG streams: nothing carries over, so a
-  // shard can reproduce any (island, epoch) cell in isolation.
+  // Per-epoch counter-based RNG streams: nothing carries over from the
+  // previous epoch. The island goldens pin this reseeding rule.
   std::vector<common::Rng> rngs;
-  rngs.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
+  rngs.reserve(islands);
+  for (std::size_t i = 0; i < islands; ++i) {
     const std::uint64_t base = island_seed(config, i);
     rngs.emplace_back(epoch == 0 ? base : common::index_seed(base, epoch));
   }
 
   if (epoch == 0) {
-    for (std::size_t i = begin; i < end; ++i) {
-      common::Rng& rng = rngs[i - begin];
+    for (std::size_t i = 0; i < islands; ++i) {
+      common::Rng& rng = rngs[i];
       std::vector<Individual>& population = state[i];
       population.assign(config.ga.population_size, Individual{});
       for (Individual& ind : population)
@@ -293,28 +291,24 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
         clamp_to_bounds(target.genes, problem);
       }
     }
-    evaluate_islands(state, begin, end, problem, cache, stats);
-    update_hall_of_fame(state, begin, end, hall_of_fame);
+    evaluate_islands(state, islands, problem, cache, stats);
+    update_hall_of_fame(state, islands, hall_of_fame);
   } else {
-    for (std::size_t i = begin; i < end; ++i)
+    for (std::size_t i = 0; i < islands; ++i)
       require_population(state, i, problem, config);
     if (migration_enabled(config)) {
       const std::size_t k =
           std::min(config.plan.migrants, config.ga.population_size);
-      // Collect every needed sender's emigrants before touching any
-      // receiver: with a full slice, island i's ring predecessor i-1 may
-      // itself have received immigrants already, and emigrants must come
-      // from the pre-epoch state.
-      std::vector<std::vector<Individual>> emigrants(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t sender = (i + islands - 1) % islands;
-        require_population(state, sender, problem, config);
-        emigrants[i - begin] = top_k(state[sender], k);
-      }
-      for (std::size_t i = begin; i < end; ++i) {
+      // Collect every island's emigrants before any island receives:
+      // applied in place, island i's predecessor i-1 would pass on the
+      // immigrants it had just received instead of its pre-epoch best.
+      std::vector<std::vector<Individual>> emigrants(islands);
+      for (std::size_t i = 0; i < islands; ++i)
+        emigrants[i] = top_k(state[(i + islands - 1) % islands], k);
+      for (std::size_t i = 0; i < islands; ++i) {
         const std::vector<std::size_t> victims = worst_k(state[i], k);
         for (std::size_t e = 0; e < k; ++e)
-          state[i][victims[e]] = emigrants[i - begin][e];
+          state[i][victims[e]] = emigrants[i][e];
         stats.migrations += k;
       }
     }
@@ -322,13 +316,13 @@ void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
 
   const auto [gen_begin, gen_end] = epoch_generations(config, epoch);
   for (std::size_t gen = gen_begin; gen < gen_end; ++gen) {
-    for (std::size_t i = begin; i < end; ++i)
-      state[i] = breed_generation(state[i], problem, config.ga, rngs[i - begin]);
-    evaluate_islands(state, begin, end, problem, cache, stats);
+    for (std::size_t i = 0; i < islands; ++i)
+      state[i] = breed_generation(state[i], problem, config.ga, rngs[i]);
+    evaluate_islands(state, islands, problem, cache, stats);
     if (history != nullptr)
-      for (std::size_t i = begin; i < end; ++i)
+      for (std::size_t i = 0; i < islands; ++i)
         (*history)[i].push_back(summarize_population(state[i]));
-    update_hall_of_fame(state, begin, end, hall_of_fame);
+    update_hall_of_fame(state, islands, hall_of_fame);
   }
 }
 
@@ -354,9 +348,8 @@ IslandGaResult run_island_ga(const Problem& problem,
   GenomeFitCache cache;
   const std::size_t epochs = epoch_count(config);
   for (std::size_t epoch = 0; epoch < epochs; ++epoch)
-    evolve_islands_epoch(problem, config, epoch, result.final_state, 0,
-                         config.plan.islands, cache, result.stats,
-                         &result.history, &result.best);
+    evolve_islands_epoch(problem, config, epoch, result.final_state, cache,
+                         result.stats, &result.history, &result.best);
   return result;
 }
 

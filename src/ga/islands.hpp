@@ -4,11 +4,9 @@
 // individuals on a fixed schedule (ring topology). The run is organized in
 // *epochs*: epoch e covers the generations [e*interval, (e+1)*interval)
 // and starts from a fresh counter-based RNG stream, so an epoch is a pure
-// function of (full previous state, island index, epoch number). That is
-// what makes the layer shardable: a process owning islands [b, e) of one
-// epoch produces exactly the rows the unsharded run would, provided it can
-// read the full end-of-previous-epoch state (migration reads the ring
-// neighbour, which may live outside the shard).
+// function of (previous state, island index, epoch number). The island
+// goldens and the benchmark digests pin this reseeding rule, so it stays
+// even though every epoch now runs in one process.
 //
 // Determinism contract (same as the rest of the repo):
 //  * island i's base seed is index_seed(ga.seed, i) — except islands == 1,
@@ -120,27 +118,25 @@ struct IslandGaResult {
 [[nodiscard]] std::pair<std::size_t, std::size_t> epoch_generations(
     const IslandGaConfig& config, std::size_t epoch);
 
-/// Evolves islands [begin, end) of `state` through one epoch: for
-/// epoch 0, draws fresh random populations (plus seed-genome injection);
-/// for epoch > 0, first applies the ring migration due at the boundary
-/// (reading emigrants from the full pre-epoch `state`), then runs the
-/// epoch's generations in lockstep with memoized batched evaluation.
-/// Only rows [begin, end) of `state` are written; for epoch > 0 every
-/// island of `state` must hold an evaluated population of the configured
-/// size (shards read the full merged previous state). `history`, when
-/// non-null, receives one GenerationStats per generation per owned
-/// island; `hall_of_fame`, when non-null, tracks the best individual
-/// ever seen exactly as run_ga does.
+/// Evolves every island of `state` through one epoch: for epoch 0,
+/// draws fresh random populations (plus seed-genome injection); for
+/// epoch > 0, first applies the ring migration due at the boundary
+/// (reading emigrants from the pre-epoch `state`), then runs the epoch's
+/// generations in lockstep with memoized batched evaluation. For
+/// epoch > 0 every island of `state` must hold an evaluated population
+/// of the configured size (std::runtime_error otherwise). `history`, when
+/// non-null, receives one GenerationStats per generation per island;
+/// `hall_of_fame`, when non-null, tracks the best individual ever seen
+/// exactly as run_ga does.
 void evolve_islands_epoch(const Problem& problem, const IslandGaConfig& config,
                           std::size_t epoch, IslandState& state,
-                          std::size_t begin, std::size_t end,
                           GenomeFitCache& cache, IslandStats& stats,
                           std::vector<std::vector<GenerationStats>>* history,
                           Individual* hall_of_fame);
 
 /// First individual with maximal fitness, scanning islands then members
-/// (the deterministic tie-break shared by the in-process run and the
-/// sharded --finalize path). Requires a non-empty, evaluated state.
+/// (the deterministic tie-break of the optimizer's winner). Requires a
+/// non-empty, evaluated state.
 [[nodiscard]] Individual best_of_state(const IslandState& state);
 
 /// Runs the whole island GA in process (all islands, all epochs, one

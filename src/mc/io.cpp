@@ -1,5 +1,6 @@
 #include "mc/io.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -28,7 +29,8 @@ double parse_double_or_fail(const std::string& text, std::size_t line_number,
                             const std::string& key) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty())
+  if (end == nullptr || *end != '\0' || text.empty() ||
+      !std::isfinite(value))
     fail(line_number, "bad numeric value for " + key + ": '" + text + "'");
   return value;
 }

@@ -92,14 +92,15 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
   // Event recording is skipped wholesale when neither the in-memory trace
   // nor the binary sink is attached — the hot path then never constructs
   // a TraceEvent.
-  std::unique_ptr<AsyncTraceSink> sink;
+  std::unique_ptr<BinaryTraceWriter> sink;
   const bool mem_trace = trace.enabled();
   if (mem_trace || !config.trace_binary_path.empty()) {
     std::vector<std::string> names;
     names.reserve(tasks.size());
     for (const mc::McTask& task : tasks) names.push_back(task.name);
     if (!config.trace_binary_path.empty())
-      sink = std::make_unique<AsyncTraceSink>(config.trace_binary_path, names);
+      sink = std::make_unique<BinaryTraceWriter>(config.trace_binary_path,
+                                                 names);
     if (mem_trace) trace.set_task_names(std::move(names));
   }
   const bool tracing = mem_trace || sink != nullptr;
@@ -547,7 +548,7 @@ SimResult simulate(const mc::TaskSet& tasks, const SimConfig& config) {
       m.per_task[i].p99_response = response_samplers[i].quantile(0.99);
     }
   }
-  if (sink) sink->close();  // surface any writer-thread I/O failure
+  if (sink) sink->close();  // surface any trace write failure
   return result;
 }
 

@@ -57,7 +57,7 @@ struct SimConfig {
   std::size_t trace_capacity = 0;
   /// When non-empty, stream every trace event (independent of
   /// trace_capacity) to this file in the compact binary format decoded by
-  /// tools/mcs_trace, via an asynchronous writer thread (trace_sink.hpp).
+  /// tools/mcs_trace, written on the simulating thread (trace_sink.hpp).
   /// simulate_partitioned() appends ".core<i>" per core.
   std::string trace_binary_path;
   /// Also record kDispatch (every scheduler pick, with the deadline the

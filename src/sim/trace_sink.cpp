@@ -3,9 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <stdexcept>
-#include <utility>
 
 namespace mcs::sim {
 
@@ -36,7 +34,7 @@ T read_value(const std::vector<std::uint8_t>& bytes, std::size_t offset) {
   return value;
 }
 
-/// RAII FILE handle for the writer thread.
+/// RAII FILE handle for the decoder.
 struct FileCloser {
   void operator()(std::FILE* f) const {
     if (f != nullptr) std::fclose(f);
@@ -60,9 +58,10 @@ std::vector<std::uint8_t> encode_trace_header(
 
 void encode_trace_event(const TraceEvent& event,
                         std::vector<std::uint8_t>& out) {
-  // One staged 30-byte record, appended in a single resize+memcpy: the
-  // writer thread encodes thousands of events per batch, and six
-  // separate vector appends per event were its hottest path.
+  // One staged 30-byte record, appended in a single insert: the writer
+  // encodes every event of a traced run on the simulating thread, and
+  // six separate vector appends per event were its hottest path. Unlike
+  // resize + memcpy, insert does not zero the bytes it then overwrites.
   std::uint8_t record[kRecordBytes];
   std::memcpy(record, &event.time, 8);
   record[8] = static_cast<std::uint8_t>(event.kind);
@@ -71,7 +70,7 @@ void encode_trace_event(const TraceEvent& event,
   std::memcpy(record + 10, &event.task, 4);
   std::memcpy(record + 14, &event.release, 8);
   std::memcpy(record + 22, &event.value, 8);
-  append_raw(out, record, sizeof(record));
+  out.insert(out.end(), record, record + sizeof(record));
 }
 
 DecodedTrace read_binary_trace(const std::string& path) {
@@ -105,6 +104,10 @@ DecodedTrace read_binary_trace(const std::string& path) {
                              path);
   const auto task_count = read_value<std::uint32_t>(bytes, at);
   at += sizeof(std::uint32_t);
+  // Each name takes at least its u32 length, so a count the file cannot
+  // hold is rejected before it sizes an allocation.
+  if (task_count > (bytes.size() - at) / sizeof(std::uint32_t))
+    throw std::runtime_error("read_binary_trace: truncated file " + path);
 
   DecodedTrace trace;
   trace.task_names.reserve(task_count);
@@ -126,6 +129,10 @@ DecodedTrace read_binary_trace(const std::string& path) {
     e.time = read_value<double>(bytes, at);
     const auto kind = read_value<std::uint8_t>(bytes, at + 8);
     const auto flags = read_value<std::uint8_t>(bytes, at + 9);
+    if (kind > static_cast<std::uint8_t>(TraceEventKind::kServerSlice) ||
+        (flags & ~3U) != 0)
+      throw std::runtime_error("read_binary_trace: corrupt record in " +
+                               path);
     e.kind = static_cast<TraceEventKind>(kind);
     e.hi_mode = (flags & 1U) != 0;
     e.virtual_deadline = (flags & 2U) != 0;
@@ -138,63 +145,40 @@ DecodedTrace read_binary_trace(const std::string& path) {
   return trace;
 }
 
-AsyncTraceSink::AsyncTraceSink(const std::string& path,
-                               std::vector<std::string> task_names) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr)
-    throw std::runtime_error("AsyncTraceSink: cannot open " + path);
-  batch_.reserve(kBatchEvents);
-  writer_ = std::thread([this, file,
-                         names = std::move(task_names)]() mutable {
-    // Batches arrive tens of KB at a time; a large stream buffer turns
-    // them into few large write syscalls instead of many page-sized ones.
-    // Declared before the FILE handle so it outlives the final fclose.
-    std::vector<char> stream_buffer(std::size_t{1} << 20);
-    std::unique_ptr<std::FILE, FileCloser> out(file);
-    std::setvbuf(out.get(), stream_buffer.data(), _IOFBF,
-                 stream_buffer.size());
-    std::vector<std::uint8_t> buffer = encode_trace_header(names);
-    for (;;) {
-      if (!buffer.empty() && !write_failed_.load(std::memory_order_relaxed)) {
-        if (std::fwrite(buffer.data(), 1, buffer.size(), out.get()) !=
-            buffer.size())
-          write_failed_.store(true, std::memory_order_relaxed);
-      }
-      buffer.clear();
-      std::optional<std::vector<TraceEvent>> batch = queue_.pop();
-      if (!batch.has_value()) break;
-      buffer.reserve(batch->size() * kRecordBytes);
-      for (const TraceEvent& e : *batch) encode_trace_event(e, buffer);
-    }
-    if (std::fflush(out.get()) != 0)
-      write_failed_.store(true, std::memory_order_relaxed);
-  });
+BinaryTraceWriter::BinaryTraceWriter(
+    const std::string& path, const std::vector<std::string>& task_names)
+    : buffer_(encode_trace_header(task_names)) {
+  file_ = std::fopen(path.c_str(), "wb");
+  if (file_ == nullptr)
+    throw std::runtime_error("BinaryTraceWriter: cannot open " + path);
+  buffer_.reserve(buffer_.size() + (kFlushRecords + 1) * kRecordBytes);
 }
 
-AsyncTraceSink::~AsyncTraceSink() { finish(); }
+BinaryTraceWriter::~BinaryTraceWriter() { finish(); }
 
-void AsyncTraceSink::record(const TraceEvent& event) {
+void BinaryTraceWriter::record(const TraceEvent& event) {
   ++total_;
-  batch_.push_back(event);
-  if (batch_.size() >= kBatchEvents) {
-    queue_.push(std::move(batch_));
-    batch_ = {};
-    batch_.reserve(kBatchEvents);
-  }
+  encode_trace_event(event, buffer_);
+  if (buffer_.size() >= kFlushRecords * kRecordBytes) flush();
 }
 
-void AsyncTraceSink::finish() noexcept {
-  if (closed_) return;
-  closed_ = true;
-  if (!batch_.empty()) queue_.push(std::move(batch_));
-  queue_.close();
-  if (writer_.joinable()) writer_.join();
+void BinaryTraceWriter::flush() noexcept {
+  if (!failed_ && !buffer_.empty() &&
+      std::fwrite(buffer_.data(), 1, buffer_.size(), file_) != buffer_.size())
+    failed_ = true;
+  buffer_.clear();
 }
 
-void AsyncTraceSink::close() {
+void BinaryTraceWriter::finish() noexcept {
+  if (file_ == nullptr) return;
+  flush();
+  if (std::fclose(file_) != 0) failed_ = true;
+  file_ = nullptr;
+}
+
+void BinaryTraceWriter::close() {
   finish();
-  if (write_failed_.load())
-    throw std::runtime_error("AsyncTraceSink: write failed");
+  if (failed_) throw std::runtime_error("BinaryTraceWriter: write failed");
 }
 
 }  // namespace mcs::sim

@@ -41,9 +41,8 @@ cmp "$WORKDIR/wcet_j1.txt" "$WORKDIR/wcet_j4.txt"
 # The simulator exits non-zero on HC deadline misses; reaching this line
 # means the optimized set ran clean.
 
-# Island-model GA determinism matrix: the in-process island run must be
-# byte-identical at every --jobs value, and the sharded epoch dataflow
-# (4 shards per epoch, merged, chained, finalized) must reproduce it.
+# Island-model GA determinism matrix: the island run must be
+# byte-identical at every --jobs value.
 ISL_ARGS="--seed=7 --population=12 --generations=8 --islands=4"
 ISL_ARGS="$ISL_ARGS --migration-interval=3 --migrants=2"
 "$CLI" optimize "$WORKDIR/tasks.mcs" $ISL_ARGS --jobs=1 \
@@ -55,30 +54,6 @@ ISL_ARGS="$ISL_ARGS --migration-interval=3 --migrants=2"
 cmp "$WORKDIR/isl_j1.mcs" "$WORKDIR/isl_j2.mcs"
 cmp "$WORKDIR/isl_j1.mcs" "$WORKDIR/isl_j8.mcs"
 grep -q "taskset v1" "$WORKDIR/isl_j1.mcs"
-if [ -n "$MERGE" ]; then
-  # 8 generations at interval 3 -> epochs 0,1,2. Each epoch runs both
-  # unsharded and as 4 merged shards; every epoch state and the final
-  # task set must be byte-identical between the two dataflows.
-  PREV=""
-  for e in 0 1 2; do
-    EPOCH_ARGS="$ISL_ARGS --state-csv --epoch=$e"
-    if [ -n "$PREV" ]; then EPOCH_ARGS="$EPOCH_ARGS --state-in=$PREV"; fi
-    "$CLI" optimize "$WORKDIR/tasks.mcs" $EPOCH_ARGS \
-      --out="$WORKDIR/isl_e${e}_full.csv"
-    for i in 0 1 2 3; do
-      "$CLI" optimize "$WORKDIR/tasks.mcs" $EPOCH_ARGS --shard=$i/4 \
-        --out="$WORKDIR/isl_e${e}_s$i.csv"
-    done
-    "$MERGE" "$WORKDIR/isl_e${e}_s0.csv" "$WORKDIR/isl_e${e}_s1.csv" \
-      "$WORKDIR/isl_e${e}_s2.csv" "$WORKDIR/isl_e${e}_s3.csv" \
-      --output="$WORKDIR/isl_e${e}_merged.csv"
-    cmp "$WORKDIR/isl_e${e}_full.csv" "$WORKDIR/isl_e${e}_merged.csv"
-    PREV="$WORKDIR/isl_e${e}_merged.csv"
-  done
-  "$CLI" optimize "$WORKDIR/tasks.mcs" $ISL_ARGS --finalize \
-    --state-in="$PREV" > "$WORKDIR/isl_finalized.mcs"
-  cmp "$WORKDIR/isl_j1.mcs" "$WORKDIR/isl_finalized.mcs"
-fi
 
 # Open-system admission service: replaying the same churn script must
 # yield byte-identical output at every --jobs value, in both

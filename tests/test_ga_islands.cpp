@@ -1,6 +1,6 @@
-// Tests for ga/islands.hpp: the islands=1 ≡ run_ga oracle, --jobs and
-// shard-slice invariance, ring migration mechanics, memoization
-// accounting, and warm-start injection.
+// Tests for ga/islands.hpp: the islands=1 ≡ run_ga oracle, --jobs
+// invariance, ring migration mechanics, memoization accounting, and
+// warm-start injection.
 #include "ga/islands.hpp"
 
 #include <gtest/gtest.h>
@@ -133,52 +133,6 @@ TEST(GaIslands, BitIdenticalAcrossJobs) {
   }
 }
 
-TEST(GaIslands, ShardedEpochsReproduceFullRun) {
-  // A shard owning islands [b, e) of one epoch and reading the full
-  // previous state must produce exactly the rows of the unsharded run —
-  // the property the mcs-cli --shard/--state-in dataflow is built on.
-  const Sphere problem;
-  const IslandGaConfig config = small_config();
-
-  IslandState full;
-  GenomeFitCache full_cache;
-  IslandStats full_stats;
-  const std::size_t epochs = epoch_count(config);
-  ASSERT_GT(epochs, 1U);
-
-  IslandState sharded;
-  for (std::size_t e = 0; e < epochs; ++e) {
-    evolve_islands_epoch(problem, config, e, full, 0, config.plan.islands,
-                         full_cache, full_stats, nullptr, nullptr);
-    // Two shards own islands [0, 2) and [2, 4); each reads the full
-    // previous state and writes only its own rows. Fresh caches per
-    // (shard, epoch) mimic independent processes.
-    IslandState next = sharded;
-    for (const auto& [b, eend] :
-         {std::pair<std::size_t, std::size_t>{0, 2}, {2, 4}}) {
-      IslandState scratch = sharded;
-      GenomeFitCache cache;
-      IslandStats stats;
-      evolve_islands_epoch(problem, config, e, scratch, b, eend, cache, stats,
-                           nullptr, nullptr);
-      if (next.size() < scratch.size()) next.resize(scratch.size());
-      for (std::size_t i = b; i < eend; ++i) next[i] = scratch[i];
-    }
-    sharded = std::move(next);
-
-    ASSERT_EQ(sharded.size(), full.size());
-    for (std::size_t i = 0; i < full.size(); ++i) {
-      ASSERT_EQ(sharded[i].size(), full[i].size()) << "island " << i;
-      for (std::size_t j = 0; j < full[i].size(); ++j) {
-        EXPECT_EQ(sharded[i][j].genes, full[i][j].genes)
-            << "epoch " << e << " island " << i << " member " << j;
-        EXPECT_EQ(sharded[i][j].fitness, full[i][j].fitness)
-            << "epoch " << e << " island " << i << " member " << j;
-      }
-    }
-  }
-}
-
 TEST(GaIslands, MigrationReplacesWorstWithNeighbourBest) {
   // Direct mechanics check on a handcrafted state: before epoch 1, the
   // top-K of island i-1 (ring) must land in place of the worst-K of
@@ -211,8 +165,8 @@ TEST(GaIslands, MigrationReplacesWorstWithNeighbourBest) {
   GenomeFitCache cache;
   IslandStats stats;
   IslandState migrated = state;
-  evolve_islands_epoch(problem, config, 1, migrated, 0, 2, cache, stats,
-                       nullptr, nullptr);
+  evolve_islands_epoch(problem, config, 1, migrated, cache, stats, nullptr,
+                       nullptr);
   EXPECT_EQ(stats.migrations, 2U);  // one immigrant per island
 
   // The epoch breeds one generation after migrating, so assert through
@@ -311,8 +265,8 @@ TEST(GaIslands, Validation) {
   IslandState empty;
   GenomeFitCache cache;
   IslandStats stats;
-  EXPECT_THROW(evolve_islands_epoch(problem, small_config(), 1, empty, 0, 4,
-                                    cache, stats, nullptr, nullptr),
+  EXPECT_THROW(evolve_islands_epoch(problem, small_config(), 1, empty, cache,
+                                    stats, nullptr, nullptr),
                std::runtime_error);
 }
 
@@ -389,14 +343,14 @@ TEST(GaIslands, FailedBatchLeavesNoPendingEntry) {
   GenomeFitCache cache;
   IslandStats stats;
   IslandState state;
-  EXPECT_THROW(evolve_islands_epoch(problem, config, 0, state, 0, 1, cache,
-                                    stats, nullptr, nullptr),
+  EXPECT_THROW(evolve_islands_epoch(problem, config, 0, state, cache, stats,
+                                    nullptr, nullptr),
                std::runtime_error);
   EXPECT_EQ(cache.size(), 0U);
   problem.fail = false;
   state.clear();
-  evolve_islands_epoch(problem, config, 0, state, 0, 1, cache, stats,
-                       nullptr, nullptr);
+  evolve_islands_epoch(problem, config, 0, state, cache, stats, nullptr,
+                       nullptr);
   for (const Individual& ind : state[0]) {
     ASSERT_TRUE(ind.evaluated);
     EXPECT_EQ(ind.fitness, ind.genes[0] + ind.genes[1]);

@@ -92,6 +92,17 @@ TEST(TaskSetIo, ErrorsCarryLineNumbers) {
   expect_error("taskset v1\ntask a LC wcet_lo=1 period=10\n", "wcet_hi");
   expect_error("taskset v1\ntask a LC wcet_lo=1 wcet_hi=1 period=ten\n",
                "bad numeric");
+  // NaN and infinity parse as numbers but are never valid task values.
+  for (const char* field :
+       {"acet=nan sigma=1", "acet=1 sigma=nan", "acet=inf sigma=1",
+        "acet=1 sigma=-inf", "period=inf", "period=nan", "deadline=nan",
+        "deadline=inf", "period=1e999"}) {
+    std::string fields = field;
+    if (fields.rfind("period=", 0) != 0) fields += " period=10";
+    expect_error(
+        "taskset v1\ntask a HC wcet_lo=1 wcet_hi=2 " + fields + "\n",
+        "bad numeric");
+  }
   expect_error("taskset v1\ntask a LC wcet_lo=1 wcet_hi=1 period=10 bogus=1\n",
                "unknown key");
   expect_error(

@@ -1,20 +1,19 @@
-// Tests for sim/trace_sink.hpp: the bounded queue's close/abort shutdown
-// semantics, the binary trace codec, the asynchronous file sink, and the
+// Tests for sim/trace_sink.hpp: the binary trace codec and its rejection
+// of corrupt files, the file writer and its write-failure path, and the
 // engine integration that streams a full event log to disk regardless of
-// the in-memory trace capacity.
+// the in-memory trace capacity, pinned byte for byte by a golden hash.
 #include "sim/trace_sink.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <optional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mc/taskset.hpp"
@@ -26,6 +25,19 @@ namespace {
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 std::vector<TraceEvent> sample_events() {
@@ -76,97 +88,12 @@ void expect_events_equal(const std::vector<TraceEvent>& got,
   }
 }
 
-TEST(BoundedQueue, FifoOrderWithinCapacity) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_TRUE(queue.push(3));
-  EXPECT_EQ(queue.size(), 3U);
-  EXPECT_EQ(queue.pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.pop(), std::optional<int>(3));
-}
-
-TEST(BoundedQueue, ZeroCapacityIsClampedToOne) {
-  BoundedQueue<int> queue(0);
-  EXPECT_TRUE(queue.push(7));  // would deadlock if capacity stayed 0
-  EXPECT_EQ(queue.pop(), std::optional<int>(7));
-}
-
-TEST(BoundedQueue, CloseDrainsBacklogThenReportsEndOfStream) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.push(10));
-  EXPECT_TRUE(queue.push(11));
-  queue.close();
-  EXPECT_FALSE(queue.push(12));  // closed: rejected, not blocked
-  EXPECT_EQ(queue.pop(), std::optional<int>(10));
-  EXPECT_EQ(queue.pop(), std::optional<int>(11));
-  EXPECT_EQ(queue.pop(), std::nullopt);  // drained
-  EXPECT_FALSE(queue.aborted());
-}
-
-TEST(BoundedQueue, AbortDiscardsBacklogImmediately) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  queue.abort();
-  EXPECT_TRUE(queue.aborted());
-  EXPECT_EQ(queue.size(), 0U);
-  EXPECT_EQ(queue.pop(), std::nullopt);  // backlog gone, no block
-  EXPECT_FALSE(queue.push(3));
-  queue.abort();  // idempotent
-  EXPECT_TRUE(queue.aborted());
-}
-
-TEST(BoundedQueue, PushBlocksUntilPopMakesRoom) {
-  BoundedQueue<int> queue(1);
-  EXPECT_TRUE(queue.push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread pusher([&] {
-    EXPECT_TRUE(queue.push(2));  // blocks until the pop below
-    second_pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(queue.pop(), std::optional<int>(1));
-  pusher.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(queue.pop(), std::optional<int>(2));
-}
-
-TEST(BoundedQueue, AbortWakesBlockedPusher) {
-  BoundedQueue<int> queue(1);
-  EXPECT_TRUE(queue.push(1));
-  std::atomic<bool> woke{false};
-  std::thread pusher([&] {
-    EXPECT_FALSE(queue.push(2));  // full queue; abort must wake + reject
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.abort();
-  pusher.join();
-  EXPECT_TRUE(woke.load());
-}
-
-TEST(BoundedQueue, AbortWakesBlockedPopper) {
-  BoundedQueue<int> queue(1);
-  std::atomic<bool> woke{false};
-  std::thread popper([&] {
-    EXPECT_EQ(queue.pop(), std::nullopt);  // empty queue; abort wakes it
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.abort();
-  popper.join();
-  EXPECT_TRUE(woke.load());
-}
-
 TEST(TraceSink, SinkRoundTripsEventsAndNames) {
   const std::string path = temp_path("trace_roundtrip.bin");
   const std::vector<std::string> names = {"hc0", "lc1"};
   const std::vector<TraceEvent> events = sample_events();
   {
-    AsyncTraceSink sink(path, names);
+    BinaryTraceWriter sink(path, names);
     for (const TraceEvent& e : events) sink.record(e);
     EXPECT_EQ(sink.total_recorded(), events.size());
     sink.close();
@@ -178,12 +105,12 @@ TEST(TraceSink, SinkRoundTripsEventsAndNames) {
 }
 
 TEST(TraceSink, RoundTripSpansManyBatches) {
-  // More events than one producer batch (1024), so the queue handoff and
-  // the final partial-batch flush are both exercised.
+  // More events than one write (2048 records), so both the mid-run
+  // writes and the final partial flush are exercised.
   const std::string path = temp_path("trace_batches.bin");
   constexpr std::size_t kCount = 5000;
   {
-    AsyncTraceSink sink(path, {"t"});
+    BinaryTraceWriter sink(path, {"t"});
     for (std::size_t i = 0; i < kCount; ++i) {
       TraceEvent e;
       e.time = static_cast<double>(i) * 0.5;
@@ -215,7 +142,7 @@ TEST(TraceSink, DecodedTraceRendersLikeInMemoryTrace) {
   for (const TraceEvent& e : events) trace.record(e);
   const std::string path = temp_path("trace_render.bin");
   {
-    AsyncTraceSink sink(path, names);
+    BinaryTraceWriter sink(path, names);
     for (const TraceEvent& e : events) sink.record(e);
     sink.close();
   }
@@ -278,31 +205,128 @@ TEST(TraceSink, BadMagicThrows) {
 TEST(TraceSink, TruncatedRecordThrows) {
   const std::string path = temp_path("trace_truncated.bin");
   {
-    AsyncTraceSink sink(path, {"t"});
+    BinaryTraceWriter sink(path, {"t"});
     TraceEvent e;
     e.task = 0;
     sink.record(e);
     sink.close();
   }
   // Chop the final record in half.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  std::vector<std::uint8_t> bytes = read_bytes(path);
   ASSERT_GT(bytes.size(), 10U);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 10));
-  }
+  bytes.resize(bytes.size() - 10);
+  write_bytes(path, bytes);
   EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
 TEST(TraceSink, UnwritablePathThrowsOnConstruction) {
-  EXPECT_THROW(AsyncTraceSink("/nonexistent-dir/trace.bin", {}),
+  EXPECT_THROW(BinaryTraceWriter("/nonexistent-dir/trace.bin", {}),
                std::runtime_error);
+}
+
+TEST(TraceSink, CorruptRecordThrows) {
+  // A kind beyond kServerSlice, or a flag bit other than hi_mode (bit 0)
+  // and virtual_deadline (bit 1), marks a corrupt record: the decoder
+  // rejects it instead of rendering an unknown event.
+  const std::string path = temp_path("trace_corrupt.bin");
+  const std::vector<std::uint8_t> header = encode_trace_header({"a"});
+  TraceEvent event;
+  event.time = 1.0;
+  event.task = 0;
+  const auto last_kind =
+      static_cast<std::uint8_t>(TraceEventKind::kServerSlice);
+  const auto with = [&](std::uint8_t kind, std::uint8_t flags) {
+    std::vector<std::uint8_t> bytes = header;
+    encode_trace_event(event, bytes);
+    bytes[header.size() + 8] = kind;
+    bytes[header.size() + 9] = flags;
+    write_bytes(path, bytes);
+  };
+  const std::uint8_t corrupt[][2] = {
+      {200, 0xFC}, {200, 0}, {last_kind + 1, 0}, {0, 0xFC}, {0, 4}, {0, 0x80}};
+  for (const auto& [kind, flags] : corrupt) {
+    with(kind, flags);
+    EXPECT_THROW((void)read_binary_trace(path), std::runtime_error)
+        << "kind " << int{kind} << " flags " << int{flags};
+  }
+  // The last kind with both flag bits set is still a valid record.
+  with(last_kind, 3);
+  const DecodedTrace decoded = read_binary_trace(path);
+  ASSERT_EQ(decoded.events.size(), 1U);
+  EXPECT_EQ(decoded.events[0].kind, TraceEventKind::kServerSlice);
+  EXPECT_TRUE(decoded.events[0].hi_mode);
+  EXPECT_TRUE(decoded.events[0].virtual_deadline);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSink, TaskCountBeyondFileThrows) {
+  // A 16-byte header that claims 2^32 - 1 tasks: each name needs at least
+  // its 4-byte length, so the count is rejected before it sizes the name
+  // table (about 128 GiB of std::string).
+  const std::string path = temp_path("trace_task_count.bin");
+  std::vector<std::uint8_t> bytes = encode_trace_header({});
+  ASSERT_EQ(bytes.size(), 16U);
+  const std::uint32_t count = 0xFFFF'FFFFu;
+  std::memcpy(bytes.data() + 12, &count, sizeof(count));
+  write_bytes(path, bytes);
+  EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
+  // Two empty names take exactly 8 bytes: a count of 2 decodes, 3 does
+  // not.
+  bytes = encode_trace_header({"", ""});
+  write_bytes(path, bytes);
+  EXPECT_EQ(read_binary_trace(path).task_names.size(), 2U);
+  const std::uint32_t three = 3;
+  std::memcpy(bytes.data() + 12, &three, sizeof(three));
+  write_bytes(path, bytes);
+  EXPECT_THROW((void)read_binary_trace(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceSink, WriteFailureThrowsOnClose) {
+  // /dev/full fails every write with ENOSPC. With no records the header
+  // sits in the stdio buffer until fclose; with 5000 the mid-run writes
+  // fail first. close() must report both.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "/dev/full is not available";
+  for (const std::size_t records : {std::size_t{0}, std::size_t{5000}}) {
+    BinaryTraceWriter writer("/dev/full", {"t"});
+    TraceEvent event;
+    event.task = 0;
+    for (std::size_t i = 0; i < records; ++i) writer.record(event);
+    EXPECT_THROW(writer.close(), std::runtime_error) << records << " records";
+  }
+}
+
+TEST(TraceSink, EngineTraceBytesMatchGolden) {
+  // FNV-1a of the whole file for one fixed simulation with mode switches,
+  // degraded LC budgets and dispatch events. Encode and decode can agree
+  // with each other and still drift from earlier files; this pins the
+  // bytes themselves.
+  mc::TaskSet tasks;
+  tasks.add(mc::McTask::high("h0", 20.0, 45.0, 100.0));
+  tasks.add(mc::McTask::high("h1", 10.0, 25.0, 80.0).with_deadline(60.0));
+  tasks.add(mc::McTask::low("l0", 10.0, 50.0));
+  tasks.add(mc::McTask::low("l1", 5.0, 40.0));
+  SimConfig config;
+  config.horizon = 20000.0;
+  config.x = 0.6;
+  config.seed = 9;
+  config.lc_policy = LcPolicy::kDegradeHalf;
+  config.exec_fraction_hi = 1.5;  // overruns, so the run switches modes
+  config.trace_dispatch = true;
+  config.trace_binary_path = temp_path("trace_golden.bin");
+  (void)simulate(tasks, config);
+  const std::vector<std::uint8_t> bytes =
+      read_bytes(config.trace_binary_path);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 148750U);  // 4957 records of 8 event kinds
+  EXPECT_EQ(hash, 0xc3f314911354abc7ULL);
+  std::remove(config.trace_binary_path.c_str());
 }
 
 }  // namespace

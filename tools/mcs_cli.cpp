@@ -352,89 +352,8 @@ int cmd_analyze(const std::string& path, int argc, const char* const* argv) {
   return 0;
 }
 
-/// Renders islands [begin, end) of `state` as the optimize state CSV:
-/// island,member,fitness,g0..g{D-1}. Doubles travel as hexfloats (%a), so
-/// a parse -> render round trip is bit-exact — the property the sharded
-/// epoch dataflow's byte-identity rests on.
-std::string render_island_state(const ga::IslandState& state,
-                                std::size_t begin, std::size_t end,
-                                std::size_t dim) {
-  std::string out = "island,member,fitness";
-  for (std::size_t g = 0; g < dim; ++g) out += ",g" + std::to_string(g);
-  out += "\n";
-  char buf[64];
-  for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < state[i].size(); ++j) {
-      const ga::Individual& ind = state[i][j];
-      out += std::to_string(i) + "," + std::to_string(j);
-      std::snprintf(buf, sizeof buf, ",%a", ind.fitness);
-      out += buf;
-      for (const double gene : ind.genes) {
-        std::snprintf(buf, sizeof buf, ",%a", gene);
-        out += buf;
-      }
-      out += "\n";
-    }
-  }
-  return out;
-}
-
-double parse_state_double(const std::string& cell) {
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  if (end == cell.c_str() || *end != '\0')
-    throw std::runtime_error("optimize: bad numeric cell '" + cell +
-                             "' in state CSV");
-  return v;
-}
-
-/// Parses a (merged) state CSV back into a full island state. Every
-/// island in [0, islands) must carry exactly `population` members with
-/// `dim` genes; rows may arrive in any order (mcs_merge keeps shard
-/// slices contiguous, but the parser does not rely on it).
-ga::IslandState parse_island_state(const std::string& csv_path,
-                                   std::size_t islands, std::size_t population,
-                                   std::size_t dim) {
-  const common::CsvFile csv = common::read_csv_file(csv_path);
-  if (csv.header.size() != 3 + dim)
-    throw std::runtime_error("optimize: state CSV has " +
-                             std::to_string(csv.header.size()) +
-                             " columns, expected " + std::to_string(3 + dim));
-  ga::IslandState state(islands);
-  for (auto& population_rows : state)
-    population_rows.resize(population);
-  std::vector<std::vector<bool>> seen(islands,
-                                      std::vector<bool>(population, false));
-  for (const std::vector<std::string>& row : csv.rows) {
-    if (row.size() != 3 + dim)
-      throw std::runtime_error("optimize: ragged state CSV row");
-    const std::size_t island = std::stoul(row[0]);
-    const std::size_t member = std::stoul(row[1]);
-    if (island >= islands || member >= population)
-      throw std::runtime_error("optimize: state row " + row[0] + "," +
-                               row[1] + " out of range");
-    if (seen[island][member])
-      throw std::runtime_error("optimize: duplicate state row " + row[0] +
-                               "," + row[1]);
-    seen[island][member] = true;
-    ga::Individual& ind = state[island][member];
-    ind.fitness = parse_state_double(row[2]);
-    ind.genes.resize(dim);
-    for (std::size_t g = 0; g < dim; ++g)
-      ind.genes[g] = parse_state_double(row[3 + g]);
-    ind.evaluated = true;
-  }
-  for (std::size_t i = 0; i < islands; ++i)
-    for (std::size_t j = 0; j < population; ++j)
-      if (!seen[i][j])
-        throw std::runtime_error("optimize: state CSV is missing island " +
-                                 std::to_string(i) + " member " +
-                                 std::to_string(j));
-  return state;
-}
-
 int emit_assigned_taskset(mc::TaskSet tasks, const std::vector<double>& n,
-                          const ga::IslandStats* stats) {
+                          const ga::IslandStats& stats) {
   const core::ObjectiveBreakdown breakdown =
       core::evaluate_multipliers(tasks, n);
   (void)core::apply_chebyshev_assignment(tasks, n);
@@ -445,10 +364,8 @@ int emit_assigned_taskset(mc::TaskSet tasks, const std::vector<double>& n,
                breakdown.objective, 100.0 * breakdown.p_ms,
                100.0 * breakdown.max_u_lc,
                breakdown.feasible ? "" : " [HC load infeasible]");
-  if (stats != nullptr)
-    std::fprintf(stderr,
-                 "search: %zu evaluations, %zu memo hits, %zu misses\n",
-                 stats->evaluations, stats->cache_hits, stats->cache_misses);
+  std::fprintf(stderr, "search: %zu evaluations, %zu memo hits, %zu misses\n",
+               stats.evaluations, stats.cache_hits, stats.cache_misses);
   return breakdown.feasible ? 0 : 1;
 }
 
@@ -461,43 +378,20 @@ int cmd_optimize(const std::string& path, int argc,
   std::uint64_t islands = 1;
   std::uint64_t migration_interval = 0;
   std::uint64_t migrants = 2;
-  std::uint64_t epoch = 0;
-  std::string state_in;
-  std::string out_path;
-  bool state_csv = false;
-  bool finalize = false;
-  common::Shard shard;
   common::Cli cli("mcs-cli optimize: GA-assign C^LO = ACET + n_i * sigma "
                   "per HC task; the assigned set goes to stdout, the "
                   "summary to stderr. With --islands the search runs the "
                   "island-model GA (ring migration every "
-                  "--migration-interval generations). The epoch dataflow "
-                  "(--state-csv/--epoch/--state-in/--finalize, shardable "
-                  "with --shard + mcs_merge) reproduces the in-process "
-                  "run byte for byte across any shard count");
+                  "--migration-interval generations)");
   cli.add_u64("seed", &seed, "GA seed");
   cli.add_u64("population", &population, "GA population size (per island)");
   cli.add_u64("generations", &generations, "GA generations");
   cli.add_double("n-cap", &n_cap, "upper bound of the multiplier search");
   cli.add_u64("islands", &islands, "island count (1 = monolithic GA)");
   cli.add_u64("migration-interval", &migration_interval,
-              "generations between ring migrations (0 = never; also the "
-              "epoch length of the sharded dataflow)");
+              "generations between ring migrations (0 = never)");
   cli.add_u64("migrants", &migrants,
               "top-K individuals exchanged at each migration");
-  cli.add_flag("state-csv", &state_csv,
-               "run ONE epoch (--epoch) for the owned islands and emit "
-               "the state CSV instead of a task set");
-  cli.add_u64("epoch", &epoch, "epoch to run with --state-csv (0-based; "
-              "epochs = ceil(generations / migration-interval))");
-  cli.add_string("state-in", &state_in,
-                 "full previous-epoch state CSV (required for --epoch > 0 "
-                 "and --finalize)");
-  cli.add_flag("finalize", &finalize,
-               "pick the best individual of --state-in and emit the "
-               "assigned task set");
-  cli.add_shard(&shard);
-  cli.add_output(&out_path);
   cli.add_jobs();
   if (!cli.parse(argc, argv)) return 1;
   if (islands == 0) {
@@ -507,61 +401,17 @@ int cmd_optimize(const std::string& path, int argc,
 
   mc::TaskSet tasks = load_file(path);
 
-  ga::IslandGaConfig island_config;
-  island_config.ga.seed = seed;
-  island_config.ga.population_size = population;
-  island_config.ga.generations = generations;
-  island_config.plan.islands = islands;
-  island_config.plan.migration_interval = migration_interval;
-  island_config.plan.migrants = migrants;
-
-  if (finalize) {
-    if (state_in.empty()) {
-      std::fprintf(stderr, "optimize: --finalize requires --state-in\n");
-      return 1;
-    }
-    const auto problem = core::make_multiplier_problem(tasks, n_cap);
-    const ga::IslandState state = parse_island_state(
-        state_in, islands, population, problem->dimension());
-    const ga::Individual best = ga::best_of_state(state);
-    return emit_assigned_taskset(std::move(tasks), best.genes, nullptr);
-  }
-
-  if (state_csv) {
-    if ((epoch > 0) != !state_in.empty()) {
-      std::fprintf(stderr, "optimize: --state-in is required exactly for "
-                           "--epoch > 0\n");
-      return 1;
-    }
-    const auto problem = core::make_multiplier_problem(tasks, n_cap);
-    const std::size_t dim = problem->dimension();
-    ga::IslandState state;
-    if (epoch > 0)
-      state = parse_island_state(state_in, islands, population, dim);
-    const auto [begin, end] = shard.slice(islands);
-    ga::GenomeFitCache cache;
-    ga::IslandStats stats;
-    if (begin < end)
-      ga::evolve_islands_epoch(*problem, island_config, epoch, state, begin,
-                               end, cache, stats, nullptr, nullptr);
-    return common::emit_csv(out_path,
-                            render_island_state(state, begin, end, dim));
-  }
-
-  if (shard.active()) {
-    std::fprintf(stderr,
-                 "optimize: --shard requires --state-csv (one epoch per "
-                 "invocation; see --help)\n");
-    return 1;
-  }
-
   core::OptimizerConfig config;
-  config.ga = island_config.ga;
+  config.ga.seed = seed;
+  config.ga.population_size = population;
+  config.ga.generations = generations;
   config.n_cap = n_cap;
-  config.islands = island_config.plan;
+  config.islands.islands = islands;
+  config.islands.migration_interval = migration_interval;
+  config.islands.migrants = migrants;
   const core::OptimizationResult best =
       core::optimize_multipliers_ga(tasks, config);
-  return emit_assigned_taskset(std::move(tasks), best.n, &best.search);
+  return emit_assigned_taskset(std::move(tasks), best.n, best.search);
 }
 
 int cmd_simulate(const std::string& path, int argc,

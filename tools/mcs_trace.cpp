@@ -1,5 +1,5 @@
 // mcs-trace — offline decoder for the compact binary trace files written
-// by the simulator's async sink (sim/trace_sink.hpp).
+// by the simulator's trace writer (sim/trace_sink.hpp).
 //
 //   mcs-cli simulate tasks.mcs --trace-bin=run.trace
 //   mcs-trace run.trace                 # one text line per event
